@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .dynamics import (
     detect_period,
     fixed_point_stream,
     no_square_prefix_word,
-    square_root_prefix,
     two_periodic_word,
 )
 from .enumeration import brute_force_solutions, count_solutions
@@ -29,6 +27,7 @@ from .standard import (
     central_word,
     directive_of_standard,
     fibonacci_word,
+    reversed_standard_info,
     standard_from_directive,
 )
 from .words import check_binary
@@ -36,43 +35,43 @@ from .words import check_binary
 
 def _read_word(args) -> str:
     if getattr(args, "word_file", None):
-        with open(args.word_file, encoding="utf-8") as handle:
-            return check_binary(handle.read().strip())
+        try:
+            with open(args.word_file, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read word file: {exc}") from exc
+        return check_binary(text.strip())
     if getattr(args, "word", None) is None:
         raise DomainError("a word is required (use --word or --word-file)")
     return check_binary(args.word)
 
 
-def _word_report(word: str, directive: tuple[int, ...]) -> dict:
-    ones = word.count("1")
-    if 0 < ones < len(word):
-        sl = Fraction(ones, len(word))
-        central = central_word(sl.numerator, sl.denominator) if sl.denominator >= 2 else ""
-        slope_str = f"{sl.numerator}/{sl.denominator}"
-    else:
-        central = ""
-        slope_str = f"{ones // max(len(word), 1)}/1" if word else "0/1"
+def _word_report(standard: str, directive: tuple[int, ...], reverse: bool) -> dict:
+    info = reversed_standard_info(standard[::-1])
     return {
-        "word": word,
+        "word": info.word if reverse else standard,
         "directive": list(directive),
-        "central": central,
-        "slope": slope_str,
+        "central": info.central,
+        "slope": f"{info.slope.numerator}/{info.slope.denominator}",
     }
+
+
+def _parse_directive(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--directive needs integer terms, got {text!r}"
+        ) from None
 
 
 def _cmd_gen(args) -> tuple[dict, list[str]]:
     if args.what == "standard":
-        directive = tuple(int(t) for t in args.directive.replace(",", " ").split())
-        word = standard_from_directive(directive)
-        if args.reversed:
-            word = word[::-1]
-        result = _word_report(word, directive)
+        directive = _parse_directive(args.directive)
+        result = _word_report(standard_from_directive(directive), directive, args.reversed)
     elif args.what == "fibonacci":
         word = fibonacci_word(args.k)
-        directive = directive_of_standard(word)
-        if args.reversed:
-            word = word[::-1]
-        result = _word_report(word, directive)
+        result = _word_report(word, directive_of_standard(word), args.reversed)
     else:  # central
         word = central_word(args.c, args.d)
         result = {"word": word, "c": args.c, "d": args.d, "length": len(word)}
@@ -82,10 +81,7 @@ def _cmd_gen(args) -> tuple[dict, list[str]]:
 def _cmd_sqrt(args) -> tuple[dict, list[str]]:
     word = _read_word(args)
     params = Params(args.a, args.b)
-    if args.trim:
-        root = square_root_prefix(word, params, trim=True)
-    else:
-        root = square_root(word, params)
+    root = square_root(word, params, trim=args.trim)
     result = {
         "word": word,
         "a": args.a,
@@ -103,12 +99,13 @@ def _cmd_check(args) -> tuple[dict, list[str]]:
         ok = is_solution(word, params)
         result = {"word": word, "a": args.a, "b": args.b, "solution": ok}
         return result, ["solution" if ok else "not a solution"]
-    found = sorted(find_params(word, args.a_max, args.b_max))
+    bounds = [2 * len(word) if m is None else m for m in (args.a_max, args.b_max)]
+    found = sorted(find_params(word, *bounds))
     result = {
         "word": word,
         "params": [[p.a, p.b] for p in found],
         "solution": bool(found),
-        "bounds": [args.a_max or 2 * len(word), args.b_max or 2 * len(word)],
+        "bounds": bounds,
     }
     return result, ["solution" if found else "not a solution"]
 
@@ -123,7 +120,10 @@ def _cmd_classify(args) -> tuple[dict, list[str]]:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--range needs LO..HI, got {text!r}") from None
 
 
 def _cmd_count(args) -> tuple[object, list[str]]:
@@ -293,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     out_format = args.format_sub or args.format_top or "json"
     try:
         result, lines = args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,10 +21,11 @@ from .errors import (
 )
 from .squares import (
     Params,
+    _parse,
     in_language,
     minimal_square_roots,
     minimal_squares,
-    scan_minimal_squares,
+    parse,
 )
 from .standard import natural_params
 from .words import are_conjugate, check_binary, exchange_first_two
@@ -123,14 +124,13 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
         word = block
         emitted = 0
         while True:
-            square = word + word
-            indices, pos = scan_minimal_squares(square, params)
-            if pos != len(square):
+            fact = _parse(word + word, params)
+            if not fact.complete:
                 raise NotInPiError(
-                    f"fixed-point prefix failed to factor at position {pos}"
+                    f"fixed-point prefix failed to factor at position {fact.consumed}"
                 )
-            yield from indices[emitted:]
-            emitted = len(indices)
+            yield from fact.indices[emitted:]
+            emitted = len(fact.indices)
             for _ in range(2):
                 word = exchange_first_two(word) + word * (2 * c)
 
@@ -187,42 +187,6 @@ def two_periodic_word(a: int = 1) -> SquareStream:
             step += 1
 
     return SquareStream(params, gen, f"two-periodic point, a={a}")
-
-
-def square_root_prefix_info(word: str, params: Params) -> tuple[str, int]:
-    """Root of the longest completely factorable prefix, and that prefix's length.
-
-    The difference ``len(word) - parsed`` is the number of trimmed letters;
-    a dead end after a shift is data, not an error.
-    """
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("cannot take the square root of the empty word")
-    indices, pos = scan_minimal_squares(word, params)
-    roots = minimal_square_roots(params)
-    return "".join(roots[i - 1] for i in indices), pos
-
-
-def square_root_prefix(word: str, params: Params, trim: bool = False) -> str:
-    """Square root of *word*, optionally trimming to complete squares first.
-
-    Without ``trim`` the whole word must factor and lie in the factor
-    language; with ``trim`` the root of the longest factorable prefix is
-    returned (error only when not even one square fits).
-    """
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("cannot take the square root of the empty word")
-    root, pos = square_root_prefix_info(word, params)
-    if not trim:
-        if pos != len(word):
-            raise NotInPiError(f"no complete square factorization (stuck at {pos})")
-        if not in_language(word, params):
-            raise NotInPiError("word is not in the squareful factor language")
-        return root
-    if not root:
-        raise EmptyAfterTrimError("no complete square at the start of the word")
-    return root
 
 
 def square_prefixes(word: str) -> list[int]:
@@ -313,7 +277,7 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
         )
     current = word
     for _ in range(iterations):
-        current, _ = square_root_prefix_info(current, stream.params)
+        current = parse(current, stream.params).root()
         if not current:
             raise EmptyAfterTrimError(
                 f"stream {stream.description!r} root vanished after trimming"
@@ -346,7 +310,7 @@ def find_periodic_shift(
     need = max_offset + 2 * min_root_len + 4 * length + 8
     word = stream.prefix(need)
     for offset in range(max_offset + 1):
-        root, _ = square_root_prefix_info(word[offset:], stream.params)
+        root = parse(word[offset:], stream.params).root()
         if len(root) < min_root_len:
             continue
         report = detect_period(root, max_period=length, reference=block)

@@ -18,8 +18,6 @@ those admitting parameters.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -156,7 +154,8 @@ def count_solutions(
 
 @lru_cache(maxsize=None)
 def _no11_words(length: int, may_start_one: bool) -> tuple[str, ...]:
-    # Small lengths only; used as suffix tables by the streaming enumerator.
+    # All 11-free words of the length, lexicographically; without
+    # may_start_one only those starting with 0 (to follow a 1).
     if length == 0:
         return ("",)
     words = ["0" + w for w in _no11_words(length - 1, True)]
@@ -165,86 +164,31 @@ def _no11_words(length: int, may_start_one: bool) -> tuple[str, ...]:
     return tuple(words)
 
 
-_SUFFIX_LEN = 14
-
-
 def _candidate_words(n: int):
     """All length-n words that start with 0 and avoid 11, lexicographically.
 
     Starting with 0 picks one representative per class under the 0/1 swap
     and the first-two-letter exchange; 11-free words suffice because no
-    solution contains 11.
+    solution contains 11.  Each word is a head of about n/2 letters joined
+    to a tail, both from cached tables, so the tables stay small.
     """
-    if n <= _SUFFIX_LEN + 1:
-        for w in _no11_words(n - 1, True):
-            yield "0" + w
-        return
-
-    def prefixes(length: int):
-        def rec(prefix: str):
-            if len(prefix) == length:
-                yield prefix
-                return
-            yield from rec(prefix + "0")
-            if prefix[-1] != "1":
-                yield from rec(prefix + "1")
-
-        yield from rec("0")
-
-    after_zero = _no11_words(_SUFFIX_LEN, True)
-    after_one = _no11_words(_SUFFIX_LEN, False)
-    for prefix in prefixes(n - _SUFFIX_LEN):
-        table = after_zero if prefix[-1] == "0" else after_one
-        for suffix in table:
-            yield prefix + suffix
-
-
-def _chunk_worker(args: tuple[str, int, int | None, int | None]) -> list[str]:
-    prefix, n, a_cap, b_cap = args
-    rest = n - len(prefix)
-    table = _no11_words(rest, prefix[-1] == "0") if rest else ("",)
-    return [
-        prefix + suffix
-        for suffix in table
-        if has_params(prefix + suffix, a_cap, b_cap)
-    ]
-
-
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("SQWORD_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    tail_len = n // 2
+    after_zero = _no11_words(tail_len, True)
+    after_one = _no11_words(tail_len, False)
+    for head in _no11_words(n - tail_len, False):
+        for tail in after_one if head[-1] == "1" else after_zero:
+            yield head + tail
 
 
 def brute_force_solutions(
     n: int,
     a_cap: int | None = None,
     b_cap: int | None = None,
-    threads: int | None = None,
 ) -> list[str]:
     """All solutions of length n, one per symmetry class, lexicographically.
 
-    Parameter caps default to twice the length (complete).  Parallelism is
-    opt-in via ``threads`` or the SQWORD_THREADS environment variable; the
-    word space is partitioned by prefix and the merged result is sorted, so
-    output does not depend on the partitioning.
+    Parameter caps default to twice the length (complete).
     """
     if n < 1:
         raise DomainError("brute_force_solutions needs n >= 1")
-    workers = _thread_count(threads)
-    if workers > 1 and n > _SUFFIX_LEN + 2:
-        split = n - _SUFFIX_LEN
-        jobs = [
-            (prefix, n, a_cap, b_cap)
-            for prefix in ("0" + w for w in _no11_words(split - 1, True))
-        ]
-        out: list[str] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_chunk_worker, jobs, chunksize=32):
-                out.extend(part)
-        return sorted(out)
-    return sorted(w for w in _candidate_words(n) if has_params(w, a_cap, b_cap))
+    return [w for w in _candidate_words(n) if has_params(w, a_cap, b_cap)]

@@ -23,7 +23,7 @@ from .errors import (
     NotDecomposableError,
     TooShortError,
 )
-from .squares import Params, in_language, minimal_square_roots, scan_minimal_squares
+from .squares import Params, _join_roots, in_language, scan_minimal_squares
 from .standard import central_word, is_reversed_standard
 from .words import check_binary, exchange_first_two, primitive_root
 
@@ -89,11 +89,8 @@ def is_solution(word: str, params: Params) -> bool:
     if not word:
         raise EmptyWordError("solutions are nonempty")
     square = word + word
-    indices, pos = scan_minimal_squares(square, params)
-    if pos != len(square):
-        return False
-    roots = minimal_square_roots(params)
-    if "".join(roots[i - 1] for i in indices) != word:
+    indices, consumed = scan_minimal_squares(square, params)
+    if consumed != len(square) or _join_roots(indices, params) != word:
         return False
     return in_language(square, params)
 

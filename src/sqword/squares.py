@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    EmptyAfterTrimError,
     EmptyWordError,
     InvalidParamsError,
     NoSquareMatchesError,
@@ -154,51 +155,83 @@ def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
     return indices, pos
 
 
+def _join_roots(indices, params: Params) -> str:
+    roots = _roots(params.a, params.b)
+    return "".join(roots[i - 1] for i in indices)
+
+
 @dataclass(frozen=True)
 class SquareFactorization:
-    """The unique factorization of a word into minimal squares."""
+    """The greedy minimal-square factorization of a word, possibly partial.
+
+    ``indices`` are the matched root indices (1-based), ``consumed`` the
+    number of letters they cover, and ``complete`` whether they cover the
+    whole word.
+    """
 
     indices: tuple[int, ...]
     params: Params
+    consumed: int
+    complete: bool
 
     def word(self) -> str:
         squares = minimal_squares(self.params)
         return "".join(squares[i - 1] for i in self.indices)
 
+    def root(self) -> str:
+        """The square root of the factored prefix: every square halved."""
+        return _join_roots(self.indices, self.params)
+
     def to_json(self) -> dict:
         return {"a": self.params.a, "b": self.params.b, "indices": list(self.indices)}
 
 
+def _parse(word: str, params: Params) -> SquareFactorization:
+    # For words the package built itself; public entry points validate first.
+    indices, consumed = scan_minimal_squares(word, params)
+    return SquareFactorization(tuple(indices), params, consumed, consumed == len(word))
+
+
+def parse(word: str, params: Params) -> SquareFactorization:
+    """The greedy minimal-square factorization of *word*, stopping where no
+    square matches.  Every square-root view derives from it; the factor
+    language is not checked here."""
+    check_binary(word)
+    return _parse(word, params)
+
+
 def factor_minimal_squares(word: str, params: Params) -> SquareFactorization:
     """Factor *word* as a product of minimal squares, or fail."""
-    check_binary(word)
+    fact = parse(word, params)
     if not word:
         raise EmptyWordError("cannot factor the empty word")
-    indices, pos = scan_minimal_squares(word, params)
-    if pos != len(word):
-        raise NoSquareMatchesError(pos)
-    return SquareFactorization(indices=tuple(indices), params=params)
+    if not fact.complete:
+        raise NoSquareMatchesError(fact.consumed)
+    return fact
 
 
 def has_square_root(word: str, params: Params) -> bool:
     """True iff *word* is nonempty, in the factor language, and a product
     of minimal squares (the domain of the square-root map)."""
-    check_binary(word)
-    if not word:
-        return False
-    _, pos = scan_minimal_squares(word, params)
-    return pos == len(word) and in_language(word, params)
+    fact = parse(word, params)
+    return bool(word) and fact.complete and in_language(word, params)
 
 
-def square_root(word: str, params: Params) -> str:
-    """Halve every square in the unique minimal-square factorization."""
-    check_binary(word)
+def square_root(word: str, params: Params, trim: bool = False) -> str:
+    """Halve every square in the unique minimal-square factorization.
+
+    Without *trim* the whole word must factor and lie in the factor
+    language.  With *trim* the root of the longest factorable prefix is
+    returned, and the only error is that not even one square fits.
+    """
+    fact = parse(word, params)
     if not word:
         raise NotInPiError("the empty word has no square root")
-    indices, pos = scan_minimal_squares(word, params)
-    if pos != len(word):
-        raise NotInPiError(f"no complete square factorization (stuck at {pos})")
-    if not in_language(word, params):
+    if trim:
+        if not fact.indices:
+            raise EmptyAfterTrimError("no complete square at the start of the word")
+    elif not fact.complete:
+        raise NotInPiError(f"no complete square factorization (stuck at {fact.consumed})")
+    elif not in_language(word, params):
         raise NotInPiError("word is not in the squareful factor language")
-    roots = _roots(params.a, params.b)
-    return "".join(roots[i - 1] for i in indices)
+    return fact.root()

@@ -45,6 +45,13 @@ class TestClassifyCommand:
         env = run_json(capsys, "classify", "--word-file", str(path))
         assert env["result"]["verdict"] == "TypeI"
 
+    def test_missing_word_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run_cli(capsys, "classify", "--word-file", str(missing))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read word file") and "Traceback" not in err
+
 
 class TestCountCommand:
     def test_single(self, capsys):
@@ -68,6 +75,13 @@ class TestCountCommand:
         with pytest.raises(SystemExit) as exc:
             main(["count"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ["a..b", "5"])
+    def test_bad_range(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--range", text])
+        assert exc.value.code == 2
+        assert "--range needs LO..HI" in capsys.readouterr().err
 
 
 class TestGenerateCommands:
@@ -97,6 +111,21 @@ class TestGenerateCommands:
         assert code == 1
         assert "error" in err
 
+    def test_non_integer_directive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "standard", "--directive", "2,x"])
+        assert exc.value.code == 2
+        assert "--directive needs integer terms" in capsys.readouterr().err
+
+    def test_standard_with_leading_one(self, capsys):
+        env = run_json(capsys, "gen", "standard", "--directive", "1,2")
+        assert env["result"] == {
+            "word": "110",
+            "directive": [1, 2],
+            "central": "1",
+            "slope": "2/3",
+        }
+
 
 class TestSqrtAndCheck:
     def test_sqrt(self, capsys):
@@ -122,6 +151,14 @@ class TestSqrtAndCheck:
         env = run_json(capsys, "check", "--word", "0110")
         assert env["result"]["solution"] is False
         assert env["result"]["params"] == []
+
+    def test_check_echoes_bounds_used(self, capsys):
+        env = run_json(capsys, "check", "--word", "0101")
+        assert env["result"]["bounds"] == [8, 8]
+        assert env["result"]["solution"] is True
+        env = run_json(capsys, "check", "--word", "0101", "--a-max", "0")
+        assert env["result"]["bounds"] == [0, 8]
+        assert env["result"]["solution"] is False
 
 
 class TestOtherCommands:

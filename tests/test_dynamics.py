@@ -10,8 +10,6 @@ from sqword.dynamics import (
     fixed_point_stream,
     no_square_prefix_word,
     square_prefixes,
-    square_root_prefix,
-    square_root_prefix_info,
     two_periodic_word,
     verify_fixed_point,
 )
@@ -21,7 +19,7 @@ from sqword.errors import (
     PreconditionFailedError,
 )
 from sqword.solutions import classify, is_solution, Verdict
-from sqword.squares import Params, has_square_root, minimal_square_roots
+from sqword.squares import Params, has_square_root, minimal_square_roots, parse, square_root
 from sqword.words import are_conjugate, exchange_first_two
 
 P10 = Params(1, 0)
@@ -120,24 +118,28 @@ class TestStreams:
 
 class TestSquareRootPrefix:
     def test_exact(self):
-        assert square_root_prefix("0101001001010010", P10) == "01010010"
+        assert square_root("0101001001010010", P10, trim=True) == "01010010"
 
     def test_trim(self):
-        root = square_root_prefix("010100100101001001", P10, trim=True)
+        root = square_root("010100100101001001", P10, trim=True)
         assert root == "01010010"
-        _, parsed = square_root_prefix_info("010100100101001001", P10)
-        assert parsed == 16  # two trailing letters trimmed
+        fact = parse("010100100101001001", P10)
+        assert fact.consumed == 16  # two trailing letters trimmed
+        assert not fact.complete
+        assert fact.root() == root
 
     def test_trivial(self):
-        assert square_root_prefix("00", P10) == "0"
+        assert square_root("00", P10, trim=True) == "0"
 
     def test_exact_mode_rejects_partial(self):
         with pytest.raises(NotInPiError):
-            square_root_prefix("010100100101001001", P10)
+            square_root("010100100101001001", P10)
 
     def test_trim_mode_needs_one_square(self):
         with pytest.raises(EmptyAfterTrimError):
-            square_root_prefix("01", P10, trim=True)
+            square_root("01", P10, trim=True)
+        with pytest.raises(NotInPiError):
+            square_root("", P10, trim=True)
 
 
 class TestSquarePrefixes:
@@ -217,7 +219,7 @@ class TestVerification:
     def test_two_periodic_divergence_is_early(self):
         stream = two_periodic_word(1)
         word = stream.prefix(600)
-        root, _ = square_root_prefix_info(word, stream.params)
+        root = parse(word, stream.params).root()
         # the root strays from the word already inside the first few blocks
         agree = next(i for i, (x, y) in enumerate(zip(word, root)) if x != y)
         assert agree <= 10
@@ -239,7 +241,7 @@ class TestVerification:
             stream = no_square_prefix_word(a)
             word = stream.prefix(12000)
             shift = len(minimal_square_roots(stream.params)[5])
-            root, _ = square_root_prefix_info(word[shift:], stream.params)
+            root = parse(word[shift:], stream.params).root()
             group = "1" + "0" * (a + 1) + "1" + "0" * (a + 1) + "1" + "0" * a
             visible = "01" + "0" * a + group * 3 + "1"
             assert root.startswith(visible)

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import pytest
 
 from sqword.enumeration import (
+    _candidate_words,
     brute_force_solutions,
     count_solutions,
     divisor_count,
@@ -161,10 +163,16 @@ class TestBruteForce:
         for n in range(1, 15):
             assert len(brute_force_solutions(n)) == count_solutions(n).formula_count
 
-    def test_threads_match_serial(self):
-        serial = brute_force_solutions(18)
-        parallel = brute_force_solutions(18, threads=2)
-        assert parallel == serial
+    def test_candidates_are_filtered_product(self):
+        # The head-by-tail enumerator must list exactly the 0-initial,
+        # 11-free words, in lexicographic order.
+        for n in range(1, 19):
+            expected = [
+                "0" + "".join(t)
+                for t in itertools.product("01", repeat=n - 1)
+                if "11" not in "0" + "".join(t)
+            ]
+            assert list(_candidate_words(n)) == expected, n
 
     def test_bad_n(self):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sqword.errors import (
+    EmptyAfterTrimError,
     EmptyWordError,
     InvalidParamsError,
     NoSquareMatchesError,
@@ -16,6 +17,7 @@ from sqword.squares import (
     in_language,
     minimal_square_roots,
     minimal_squares,
+    parse,
     square_root,
 )
 from sqword.words import slope
@@ -202,6 +204,22 @@ class TestFactorization:
         fact = factor_minimal_squares("0101001001010010", P10)
         assert fact.to_json() == {"a": 1, "b": 0, "indices": [2, 1, 6]}
 
+    def test_no_square_is_prefix_of_another(self):
+        # scan_minimal_squares relies on at most one square matching.
+        for p in SMALL_PARAMS:
+            squares = minimal_squares(p)
+            for i, x in enumerate(squares):
+                for j, y in enumerate(squares):
+                    assert i == j or not y.startswith(x), (p, x, y)
+
+    def test_partial_parse(self):
+        fact = parse("00100010", P10)
+        assert fact.indices == (1,)
+        assert (fact.consumed, fact.complete) == (2, False)
+        assert fact.word() == "00"
+        assert fact.root() == "0"
+        assert parse("", P10).complete
+
 
 class TestSquareRoot:
     def test_flagship(self):
@@ -247,6 +265,27 @@ class TestSquareRoot:
                     hits += 1
                     assert square_root(u + v, P10) == square_root(u, P10) + square_root(v, P10)
         assert hits > 10
+
+    def test_views_agree_on_short_words(self):
+        # Every view reads the one parse: has_square_root holds exactly when
+        # square_root succeeds, and the trimmed root is the parse's root.
+        for n in range(13):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                for p in (P10, Params(1, 1), Params(2, 0), Params(2, 1)):
+                    fact = parse(word, p)
+                    try:
+                        root = square_root(word, p)
+                    except NotInPiError:
+                        root = None
+                    assert has_square_root(word, p) == (root is not None), (word, p)
+                    if root is not None:
+                        assert root == fact.root()
+                    if fact.indices:
+                        assert square_root(word, p, trim=True) == fact.root()
+                    else:
+                        with pytest.raises((EmptyAfterTrimError, NotInPiError)):
+                            square_root(word, p, trim=True)
 
     def test_each_square_in_own_language(self):
         for p in SMALL_PARAMS:
