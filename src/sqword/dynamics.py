@@ -25,7 +25,6 @@ from .squares import (
     in_language,
     minimal_square_roots,
     minimal_squares,
-    parse,
 )
 from .standard import natural_params
 from .words import are_conjugate, check_binary, exchange_first_two
@@ -53,14 +52,18 @@ class SquareStream:
         """Materialize whole blocks until at least *min_len* letters."""
         if min_len < 1:
             raise DomainError("prefix length must be >= 1")
-        squares = minimal_squares(self.params)
+        squares = dict(enumerate(minimal_squares(self.params), 1))
         parts: list[str] = []
         trace: list[int] = []
         total = 0
         for idx in self.blocks():
-            parts.append(squares[idx - 1])
+            try:
+                square = squares[idx]
+            except KeyError:
+                raise DomainError(f"stream {self.description!r} emitted block index {idx!r}") from None
+            parts.append(square)
             trace.append(idx)
-            total += len(squares[idx - 1])
+            total += len(square)
             if total >= min_len:
                 break
         if total < min_len:
@@ -277,7 +280,7 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
         )
     current = word
     for _ in range(iterations):
-        current = parse(current, stream.params).root()
+        current = _parse(current, stream.params).root()
         if not current:
             raise EmptyAfterTrimError(
                 f"stream {stream.description!r} root vanished after trimming"
@@ -310,7 +313,7 @@ def find_periodic_shift(
     need = max_offset + 2 * min_root_len + 4 * length + 8
     word = stream.prefix(need)
     for offset in range(max_offset + 1):
-        root = parse(word[offset:], stream.params).root()
+        root = _parse(word[offset:], stream.params).root()
         if len(root) < min_root_len:
             continue
         report = detect_period(root, max_period=length, reference=block)

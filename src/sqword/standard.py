@@ -5,9 +5,11 @@ words by the recursion::
 
     s(-1) = 1,  s(0) = 0,  s(1) = 0^(d1-1) 1,  s(k) = s(k-1)^dk s(k-2)
 
-Recognition does not search directives: a word of length d with c ones,
+Nothing here searches directives.  A word of length d with c ones,
 gcd(c, d) = 1, is reversed standard exactly when it is the central word of
-slope c/d prefixed by 01 or 10.
+slope c/d prefixed by 01 or 10.  The directive of a standard word is unique
+and is read off the continued fraction of c/d by Euclid's algorithm; d1 >= 2
+exactly when the word starts with 0.
 """
 
 from __future__ import annotations
@@ -108,65 +110,53 @@ def is_reversed_standard(word: str) -> bool:
     return reversed_standard_info(word) is not None
 
 
-def directive_of_standard(word: str) -> Directive:
-    """A directive sequence generating the standard word *word*.
+def _directive(word: str) -> Directive | None:
+    """The directive generating the standard word *word*, or None.
 
-    Canonical choice: the first directive found with d1 >= 2 (depth-first,
-    smallest terms first); words that force d1 = 1 fall back to it.  The
-    base words get the designations ``()`` for "0" and ``(1,)`` for "1".
+    Euclid's algorithm on (ones, length) gives the continued fraction
+    [0; d1, ..., dk] of the slope with dk >= 2; the other standard word of
+    the slope has the other expansion (d1, ..., dk - 1, 1).
     """
-    check_binary(word)
-    if not word:
-        raise NotStandardError("the empty word is not standard")
-    if not is_reversed_standard(word[::-1]):
-        raise NotStandardError(f"{word!r} is not a standard word")
     if word == "0":
         return ()
-    if word == "1":
-        return (1,)
-    n = len(word)
-
-    def extend(prev2: str, prev: str, acc: Directive) -> Directive | None:
-        d = 1
-        nxt = prev + prev2
-        while len(nxt) <= n:
-            if nxt == word:
-                return acc + (d,)
-            found = extend(prev, nxt, acc + (d,))
-            if found is not None:
-                return found
-            d += 1
-            nxt = prev * d + prev2
+    d, c = len(word), word.count("1")
+    if gcd(c, d) != 1:
         return None
+    terms: list[int] = []
+    while c:
+        q, r = divmod(d, c)
+        terms.append(q)
+        d, c = c, r
+    directive = tuple(terms)
+    if standard_from_directive(directive) == word:
+        return directive
+    directive = directive[:-1] + (directive[-1] - 1, 1)
+    return directive if standard_from_directive(directive) == word else None
 
-    for d1 in range(2, n + 2):
-        s1 = "0" * (d1 - 1) + "1"
-        if len(s1) > n:
-            break
-        if s1 == word:
-            return (d1,)
-        found = extend("0", s1, (d1,))
-        if found is not None:
-            return found
-    found = extend("0", "1", (1,))
-    if found is not None:
-        return found
-    raise NotStandardError(f"no directive generates {word!r}")  # unreachable
+
+def directive_of_standard(word: str) -> Directive:
+    """The directive sequence generating the standard word *word*.
+
+    The directive is unique: it is read off the continued fraction of the
+    slope, and d1 >= 2 exactly when the word starts with 0.  The base words
+    get the designations ``()`` for "0" and ``(1,)`` for "1".
+    """
+    check_binary(word)
+    directive = _directive(word)
+    if directive is None:
+        raise NotStandardError(f"{word!r} is not a standard word")
+    return directive
 
 
 def natural_params(word: str) -> Params | None:
     """The square-root parameters a reversed standard word naturally lives in.
 
-    These are (d1 - 1, d2 - 1) for the canonical directive of the reversal;
+    These are (d1 - 1, d2 - 1) for the directive of the reversal;
     length-one directives get b = 0.  None when the word is not reversed
     standard or its directive starts with d1 = 1 (the letter-swapped family).
     """
     check_binary(word)
-    if not word or not is_reversed_standard(word):
-        return None
-    directive = directive_of_standard(word[::-1])
+    directive = _directive(word[::-1])
     if not directive or directive[0] < 2:
         return None
-    if len(directive) == 1:
-        return Params(directive[0] - 1, 0)
-    return Params(directive[0] - 1, directive[1] - 1)
+    return Params(directive[0] - 1, directive[1] - 1 if len(directive) > 1 else 0)

@@ -4,6 +4,7 @@ import pytest
 
 from sqword.dynamics import (
     PeriodReport,
+    SquareStream,
     detect_period,
     find_periodic_shift,
     fixed_point_solutions,
@@ -14,6 +15,7 @@ from sqword.dynamics import (
     verify_fixed_point,
 )
 from sqword.errors import (
+    DomainError,
     EmptyAfterTrimError,
     NotInPiError,
     PreconditionFailedError,
@@ -114,6 +116,12 @@ class TestStreams:
         squares = [r + r for r in minimal_square_roots(stream.params)]
         assert word == "".join(squares[i - 1] for i in trace)
         assert len(word) >= 100
+
+    @pytest.mark.parametrize("index", [0, 7])
+    def test_block_index_outside_one_to_six(self, index):
+        stream = SquareStream(P10, lambda: iter([1, index, 1]), "bad")
+        with pytest.raises(DomainError, match="block index"):
+            stream.prefix(5)
 
 
 class TestSquareRootPrefix:

@@ -176,6 +176,14 @@ class TestFindParams:
         for word in words[::37]:
             assert find_params(word) == find_params_unpruned(word), word
 
+    def test_default_bounds_decide(self):
+        # the default 2n bounds decide solution-hood: doubling them adds nothing
+        words = [w for n in range(1, 13) for h in "01" for w in no11_words(n, h)]
+        assert len(words) == 984
+        for word in words:
+            wide = 4 * len(word)
+            assert has_params(word) == has_params(word, wide, wide), word
+
     def test_has_params_consistent(self):
         for word in no11_words(8):
             assert has_params(word) == bool(find_params(word))

@@ -48,6 +48,45 @@ def all_directives(max_len):
     return out
 
 
+def search_directive(word):
+    """The directive of a standard word by depth-first search over directives.
+
+    The slow predecessor of ``directive_of_standard``, kept as its
+    differential oracle: smallest terms first, d1 >= 2 before d1 = 1.
+    """
+    if not word or not is_reversed_standard(word[::-1]):
+        return None
+    if word == "0":
+        return ()
+    if word == "1":
+        return (1,)
+    n = len(word)
+
+    def extend(prev2, prev, acc):
+        d = 1
+        nxt = prev + prev2
+        while len(nxt) <= n:
+            if nxt == word:
+                return acc + (d,)
+            found = extend(prev, nxt, acc + (d,))
+            if found is not None:
+                return found
+            d += 1
+            nxt = prev * d + prev2
+        return None
+
+    for d1 in range(2, n + 2):
+        s1 = "0" * (d1 - 1) + "1"
+        if len(s1) > n:
+            break
+        if s1 == word:
+            return (d1,)
+        found = extend("0", s1, (d1,))
+        if found is not None:
+            return found
+    return extend("0", "1", (1,))
+
+
 class TestGeneration:
     def test_fibonacci_directive(self):
         assert standard_from_directive((2, 1, 1, 1)) == "01001010"
@@ -206,13 +245,33 @@ class TestDirectiveInversion:
             directive_of_standard("")
 
     def test_inverts_generation(self):
-        for directive in all_directives(30):
+        # the directive is unique, so recovery returns the generating one
+        for directive in all_directives(200):
             word = standard_from_directive(directive)
-            recovered = directive_of_standard(word)
-            assert standard_from_directive(recovered) == word
-            # canonical form prefers d1 >= 2; only 1-initial words escape it
-            if word[0] == "0":
-                assert recovered[0] >= 2, (word, recovered)
+            assert directive_of_standard(word) == directive, word
+            assert (directive[0] >= 2) == (word[0] == "0"), directive
+
+    def test_agrees_with_search(self):
+        words = {standard_from_directive(d) for d in all_directives(60)} | {"0", "1"}
+        for word in words:
+            assert directive_of_standard(word) == search_directive(word), word
+
+    def test_agrees_with_search_on_all_short_words(self):
+        # standard or not; natural_params reads the same directive reversed
+        for n in range(13):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                expected = search_directive(word)
+                if expected is None:
+                    with pytest.raises(NotStandardError):
+                        directive_of_standard(word)
+                else:
+                    assert directive_of_standard(word) == expected, word
+                params = None
+                if expected and expected[0] >= 2:
+                    b = expected[1] - 1 if len(expected) > 1 else 0
+                    params = Params(expected[0] - 1, b)
+                assert natural_params(word[::-1]) == params, word
 
 
 class TestNaturalParams:
@@ -222,6 +281,15 @@ class TestNaturalParams:
     def test_short_roots(self):
         assert natural_params("100") == Params(2, 0)  # 10^2 has a one-term directive
         assert natural_params("10010") == Params(1, 0)  # the sixth root at (1, 0)
+
+    def test_reads_the_first_two_terms(self):
+        for directive in all_directives(200):
+            reversal = standard_from_directive(directive)[::-1]
+            if directive[0] < 2:
+                assert natural_params(reversal) is None, directive
+                continue
+            b = directive[1] - 1 if len(directive) > 1 else 0
+            assert natural_params(reversal) == Params(directive[0] - 1, b), directive
 
     def test_unusable(self):
         assert natural_params("1") is None
