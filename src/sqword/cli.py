@@ -21,7 +21,7 @@ from .dynamics import (
 )
 from .enumeration import brute_force_solutions, count_solutions
 from .errors import DomainError
-from .solutions import classify, doubling_orbits, find_params, is_solution
+from .solutions import _bounds, classify, doubling_orbits, find_params, is_solution
 from .squares import Params, square_root
 from .standard import (
     central_word,
@@ -31,6 +31,12 @@ from .standard import (
     standard_from_directive,
 )
 from .words import check_binary
+
+# Caps on request sizes, so that no input can exhaust memory: brute force
+# caches every 11-free word of n/2 letters (121,393 of them at n = 48).
+_MAX_LENGTH = 10**7
+_MAX_BRUTE_N = 48
+_MAX_RANGE_WIDTH = 10**4
 
 
 def _read_word(args) -> str:
@@ -99,7 +105,7 @@ def _cmd_check(args) -> tuple[dict, list[str]]:
         ok = is_solution(word, params)
         result = {"word": word, "a": args.a, "b": args.b, "solution": ok}
         return result, ["solution" if ok else "not a solution"]
-    bounds = [2 * len(word) if m is None else m for m in (args.a_max, args.b_max)]
+    bounds = list(_bounds(word, args.a_max, args.b_max))
     found = sorted(find_params(word, *bounds))
     result = {
         "word": word,
@@ -126,18 +132,30 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"--range needs LO..HI, got {text!r}") from None
 
 
+def _check_brute(n: int) -> None:
+    if n > _MAX_BRUTE_N:
+        raise DomainError(f"brute force is capped at n = {_MAX_BRUTE_N}, got n = {n}")
+
+
 def _cmd_count(args) -> tuple[object, list[str]]:
     if args.range:
         lo, hi = _parse_range(args.range)
+        if hi - lo + 1 > _MAX_RANGE_WIDTH:
+            raise DomainError(f"--range is capped at {_MAX_RANGE_WIDTH} lengths, got {lo}..{hi}")
+        if args.brute:
+            _check_brute(hi)
         reports = [count_solutions(n, brute=args.brute) for n in range(lo, hi + 1)]
         result = [r.to_json() for r in reports]
         lines = [f"{r.n},{r.formula_count}" for r in reports]
         return result, lines
+    if args.brute:
+        _check_brute(args.n)
     report = count_solutions(args.n, brute=args.brute)
     return report.to_json(), [f"{report.n},{report.formula_count}"]
 
 
 def _cmd_list(args) -> tuple[dict, list[str]]:
+    _check_brute(args.n)
     found = brute_force_solutions(args.n, args.a_cap, args.b_cap)
     result = {"n": args.n, "count": len(found), "solutions": found}
     return result, found
@@ -158,6 +176,8 @@ _STREAM_KINDS = ("sl", "nosquare", "biperiodic")
 
 
 def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
+    if args.length > _MAX_LENGTH:
+        raise DomainError(f"--length is capped at {_MAX_LENGTH} letters, got {args.length}")
     if args.kind == "sl":
         if not args.word:
             raise DomainError("kind 'sl' needs --word with a reversed standard block")

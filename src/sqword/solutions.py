@@ -90,7 +90,7 @@ def is_solution(word: str, params: Params) -> bool:
         raise EmptyWordError("solutions are nonempty")
     square = word + word
     indices, consumed = scan_minimal_squares(square, params)
-    if consumed != len(square) or _join_roots(indices, params) != word:
+    if consumed != len(square) or _join_roots(indices, params, consumed) != word:
         return False
     return in_language(square, params)
 
@@ -137,6 +137,17 @@ def _candidates(word: str, a_max: int, b_max: int) -> Iterator[Params]:
                 yield Params(a, b)
 
 
+def _bounds(
+    word: str, a_max: int | None, b_max: int | None, empty: str = "solutions are nonempty"
+) -> tuple[int, int]:
+    # Validate *word* and default each missing bound to twice its length.
+    check_binary(word)
+    if not word:
+        raise EmptyWordError(empty)
+    default = 2 * len(word)
+    return (default if a_max is None else a_max, default if b_max is None else b_max)
+
+
 def find_params(word: str, a_max: int | None = None, b_max: int | None = None) -> set[Params]:
     """All parameter pairs within the bounds for which *word* is a solution.
 
@@ -144,25 +155,13 @@ def find_params(word: str, a_max: int | None = None, b_max: int | None = None) -
     solution-hood outright: a minimal square inside the square of *word*
     cannot be longer than the square itself.
     """
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("solutions are nonempty")
-    if a_max is None:
-        a_max = 2 * len(word)
-    if b_max is None:
-        b_max = 2 * len(word)
+    a_max, b_max = _bounds(word, a_max, b_max)
     return {p for p in _candidates(word, a_max, b_max) if is_solution(word, p)}
 
 
 def has_params(word: str, a_max: int | None = None, b_max: int | None = None) -> bool:
     """Early-exit version of ``find_params(word) != set()``."""
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("solutions are nonempty")
-    if a_max is None:
-        a_max = 2 * len(word)
-    if b_max is None:
-        b_max = 2 * len(word)
+    a_max, b_max = _bounds(word, a_max, b_max)
     return any(is_solution(word, p) for p in _candidates(word, a_max, b_max))
 
 
@@ -253,20 +252,13 @@ def classify(word: str, a_max: int | None = None, b_max: int | None = None) -> C
     Raises ClassificationContradictionError if a solution fails every case;
     that never happens unless the trichotomy itself is falsified.
     """
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("cannot classify the empty word")
-    if a_max is None:
-        a_max = 2 * len(word)
-    if b_max is None:
-        b_max = 2 * len(word)
-    bounds = (a_max, b_max)
-    params = tuple(sorted(find_params(word, a_max, b_max)))
+    bounds = _bounds(word, a_max, b_max, "cannot classify the empty word")
+    params = tuple(sorted(find_params(word, *bounds)))
     if not params:
         return Classification(Verdict.NOT_SOLUTION, params, bounds)
     root, k = primitive_root(word)
     if k > 1:
-        if not has_params(root, a_max, b_max):
+        if not has_params(root, *bounds):
             raise ClassificationContradictionError(
                 f"{word!r} is a solution but its primitive root {root!r} is not"
             )

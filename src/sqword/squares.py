@@ -10,7 +10,10 @@ For parameters ``a >= 1``, ``b >= 0`` the minimal square roots are::
     s6 = 1 0^(a+1) (1 0^a)^(b+1)
 
 The factor language consists of all factors of infinite concatenations of
-``s5`` and ``s6`` (optionally preceded by runs of ``0`` and ``1 0^a``).  A
+``s5`` and ``s6`` (optionally preceded by runs of ``0`` and ``1 0^a``).
+These two roots are the images of ``1 0^b`` and ``1 0^(b+1)`` under the
+substitution ``1 -> 1 0^(a+1)``, ``0 -> 1 0^a``, so a word lies in the
+language exactly when it desubstitutes twice, first by a and then by b.  A
 word has a square root when it lies in that language and splits, greedily
 and uniquely, into squares of the six roots.
 """
@@ -63,6 +66,15 @@ def _squares(a: int, b: int) -> tuple[str, ...]:
     return tuple(r + r for r in _roots(a, b))
 
 
+def _window(params: Params, n: int) -> tuple[int, int]:
+    # Capping a and b at n changes only roots longer than n letters, and no
+    # such root or its square occurs in n letters: the tables a parse of n
+    # letters needs, at a size bounded by n.  Every parse runs this, and
+    # conditionals cost a fraction of two min() calls.
+    a, b = params.a, params.b
+    return (a if a <= n else n), (b if b <= n else n)
+
+
 def minimal_square_roots(params: Params) -> tuple[str, str, str, str, str, str]:
     """The six minimal square roots, shortest first."""
     return _roots(params.a, params.b)
@@ -73,64 +85,45 @@ def minimal_squares(params: Params) -> tuple[str, str, str, str, str, str]:
     return _squares(params.a, params.b)
 
 
-# NFA state layout for the factor language, per (a, b_eff):
-#   (block_id, offset) where block 0/1 are the two long roots, block -2 is
-#   the "1 0^a" preamble block and -1 the initial zero run.  A factor may
-#   start at any offset of any allowed block; finishing a block branches to
-#   the starts reachable from it.
+_KINDS = str.maketrans("LS", "10")
 
 
-def _window_b(word_len: int, a: int, b: int) -> int:
-    # A window shorter than the spacing between consecutive 0^(a+1) runs
-    # cannot tell b from any larger value, so cap b to keep the NFA small.
-    cap = word_len // (a + 1) + 2
-    return b if b <= cap else cap
+def _derive(word: str, k: int, free_head: bool) -> str | None:
+    # Undo 1 -> 1 0^(k+1), 0 -> 1 0^k on a factor of an image: the preimage
+    # letters the factor pins down, or None if it is no such factor.  The
+    # head zeros end a block and the tail 1 0^t starts one; either is a
+    # whole long block only with k + 1 zeros.  With free_head the head may
+    # be a zero run of any length and pins nothing.  Blocks longer than the
+    # word cannot occur in it, so capping k at its length changes nothing.
+    k = min(k, len(word))
+    core = word.lstrip("0")
+    body = core.rstrip("0")
+    head, tail = len(word) - len(core), len(core) - len(body)
+    if tail > k + 1 or (head > k + 1 and not free_head):
+        return None
+    kinds = body[:-1].replace("1" + "0" * (k + 1), "L").replace("1" + "0" * k, "S")
+    if "0" in kinds or "1" in kinds:
+        return None
+    if head == k + 1 and not free_head:
+        kinds = "L" + kinds
+    if tail == k + 1:
+        kinds += "L"
+    return kinds.translate(_KINDS)
 
 
 def in_language(word: str, params: Params, allow_initial_runs: bool = False) -> bool:
     """Membership of *word* in the squareful factor language.
 
-    With ``allow_initial_runs`` the language additionally admits the
-    ``0^* (1 0^a)^*`` preamble that general squareful words may start with.
-    Implemented as a nondeterministic search over (block, offset) states.
+    ``s5`` and ``s6`` are the images of ``1 0^b`` and ``1 0^(b+1)`` under
+    ``1 -> 1 0^(a+1)``, ``0 -> 1 0^a``, so a word is in the language exactly
+    when it desubstitutes twice, first by a and then by b.  With
+    ``allow_initial_runs`` the language additionally admits the
+    ``0^* (1 0^a)^*`` preamble that general squareful words may start with;
+    it leaves the zeros ahead of the first ``1`` unbounded at both levels.
     """
     check_binary(word)
-    if not word:
-        return True
-    a = params.a
-    if "1" not in word:
-        # Zero runs in the language never exceed a + 1 letters.
-        return True if allow_initial_runs else len(word) <= a + 1
-    b = _window_b(len(word), a, params.b)
-    roots = _roots(a, b)
-    five, six = roots[4], roots[5]
-    four = roots[3]
-    text = {0: five, 1: six, -2: four, -1: "0"}
-    core_starts = ((0, 0), (1, 0))
-    follow = {
-        0: core_starts,
-        1: core_starts,
-        -2: ((-2, 0),) + core_starts,
-        -1: ((-1, 0), (-2, 0)) + core_starts,
-    }
-    states = {(bid, off) for bid in (0, 1) for off in range(len(text[bid]))}
-    if allow_initial_runs:
-        states.add((-1, 0))
-        states.update((-2, off) for off in range(len(four)))
-    for ch in word:
-        nxt = set()
-        for bid, off in states:
-            block = text[bid]
-            if block[off] != ch:
-                continue
-            if off + 1 == len(block):
-                nxt.update(follow[bid])
-            else:
-                nxt.add((bid, off + 1))
-        if not nxt:
-            return False
-        states = nxt
-    return True
+    kinds = _derive(word, params.a, allow_initial_runs)
+    return kinds is not None and _derive(kinds, params.b, allow_initial_runs) is not None
 
 
 def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
@@ -140,10 +133,10 @@ def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
     consumed.  At each position at most one square can match because no
     minimal square is a prefix of another, so no backtracking is needed.
     """
-    squares = _squares(params.a, params.b)
+    n = len(word)
+    squares = _squares(*_window(params, n))
     indices: list[int] = []
     pos = 0
-    n = len(word)
     while pos < n:
         for i, sq in enumerate(squares):
             if word.startswith(sq, pos):
@@ -155,8 +148,9 @@ def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
     return indices, pos
 
 
-def _join_roots(indices, params: Params) -> str:
-    roots = _roots(params.a, params.b)
+def _join_roots(indices, params: Params, n: int) -> str:
+    # Join the roots of squares matched within n letters.
+    roots = _roots(*_window(params, n))
     return "".join(roots[i - 1] for i in indices)
 
 
@@ -175,12 +169,12 @@ class SquareFactorization:
     complete: bool
 
     def word(self) -> str:
-        squares = minimal_squares(self.params)
+        squares = _squares(*_window(self.params, self.consumed))
         return "".join(squares[i - 1] for i in self.indices)
 
     def root(self) -> str:
         """The square root of the factored prefix: every square halved."""
-        return _join_roots(self.indices, self.params)
+        return _join_roots(self.indices, self.params, self.consumed)
 
     def to_json(self) -> dict:
         return {"a": self.params.a, "b": self.params.b, "indices": list(self.indices)}

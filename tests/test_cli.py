@@ -217,3 +217,50 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["fixedpoint", "--kind", "bogus", "--length", "5"])
         assert exc.value.code == 2
+
+
+class TestCaps:
+    """Requests past a cap exit 1 before anything is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a capped request reached the package")
+
+        for name in (
+            "fixed_point_stream",
+            "no_square_prefix_word",
+            "two_periodic_word",
+            "brute_force_solutions",
+            "count_solutions",
+        ):
+            monkeypatch.setattr(f"sqword.cli.{name}", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--length", str(10**12)],
+            ["fixedpoint", "--kind", "nosquare", "--a", "1", "--length", str(10**7 + 1)],
+            ["count", "--n", "49", "--brute"],
+            ["count", "--n", "80", "--brute"],
+            ["count", "--range", "40..49", "--brute"],
+            ["list", "--n", "80"],
+            ["count", "--range", f"1..{10**9}"],
+            ["count", "--range", f"1..{10**4 + 1}"],
+        ],
+    )
+    def test_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "capped" in err
+        assert "Traceback" not in err
+
+
+def test_caps_admit_their_limits(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr("sqword.cli.brute_force_solutions", lambda n, *caps: seen.append(n) or [])
+    run_json(capsys, "list", "--n", "48")
+    assert seen == [48]
+    code, out, err = run_cli(capsys, "--format", "csv", "count", "--range", f"1..{10**4}")
+    assert code == 0 and len(out.split()) == 10**4

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from sqword.errors import (
     NotDecomposableError,
     TooShortError,
 )
+from sqword import squares
 from sqword.solutions import (
     Verdict,
     classify,
@@ -130,6 +132,22 @@ class TestIsSolution:
     def test_empty(self):
         with pytest.raises(EmptyWordError):
             is_solution("", P10)
+
+    @pytest.mark.parametrize("params", [Params(10**6, 0), Params(1, 10**6)])
+    def test_huge_params_stay_small(self, params):
+        # Only the roots that fit in the square are built; at full size these
+        # tables would take about 12 MB.  Emptying the table caches keeps an
+        # entry built by another test from hiding a full-size build.
+        squares._roots.cache_clear()
+        squares._squares.cache_clear()
+        tracemalloc.start()
+        try:
+            found = is_solution("0101", params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == (params.a == 1)
+        assert peak < 1 << 20
 
     def test_definition_agreement(self):
         # solution <=> the square has a root and the root is the word itself

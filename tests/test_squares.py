@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -83,6 +84,62 @@ def language_words(p, max_blocks):
     return words
 
 
+def nfa_in_language(word, p, runs=False):
+    """The block automaton over (block, offset) states that ``in_language``
+    replaced; b is used as given, never capped to the word's length."""
+    if not word:
+        return True
+    five, six = minimal_square_roots(p)[4], minimal_square_roots(p)[5]
+    four = "1" + "0" * p.a
+    text = {0: five, 1: six, -2: four, -1: "0"}
+    core = ((0, 0), (1, 0))
+    follow = {0: core, 1: core, -2: ((-2, 0),) + core, -1: ((-1, 0), (-2, 0)) + core}
+    states = {(b, o) for b in (0, 1) for o in range(len(text[b]))}
+    if runs:
+        states.add((-1, 0))
+        states.update((-2, o) for o in range(len(four)))
+    for ch in word:
+        nxt = set()
+        for bid, off in states:
+            if text[bid][off] != ch:
+                continue
+            if off + 1 == len(text[bid]):
+                nxt.update(follow[bid])
+            else:
+                nxt.add((bid, off + 1))
+        if not nxt:
+            return False
+        states = nxt
+    return True
+
+
+def peak_bytes(fn):
+    """Peak traced allocation while *fn* runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+NFA_PARAMS = [Params(a, b) for a in (1, 2, 3) for b in (0, 1, 2)]
+
+
+def product_word(p, rng, length, preamble=False):
+    """A random product of s5 and s6 of at least *length* letters, behind a
+    random ``0^i (1 0^a)^j`` preamble if asked."""
+    five, six = minimal_square_roots(p)[4], minimal_square_roots(p)[5]
+    parts = []
+    if preamble:
+        parts = ["0" * rng.randrange(6), ("1" + "0" * p.a) * rng.randrange(4)]
+    total = 0
+    while total < length:
+        parts.append(rng.choice((five, six)))
+        total += len(parts[-1])
+    return "".join(parts)
+
+
 class TestLanguage:
     def test_flagship_square(self):
         assert in_language("0101001001010010", P10)
@@ -133,43 +190,68 @@ class TestLanguage:
                     assert in_language(w, Params(a, b)) == base
 
     def test_membership_against_uncapped_reference(self):
-        # reference: simulate the block automaton with the b value as given,
-        # never shrunk to the window size
-        def reference(word, p, runs=False):
-            if not word:
-                return True
-            five, six = minimal_square_roots(p)[4], minimal_square_roots(p)[5]
-            four = "1" + "0" * p.a
-            text = {0: five, 1: six, -2: four, -1: "0"}
-            core = ((0, 0), (1, 0))
-            follow = {0: core, 1: core, -2: ((-2, 0),) + core,
-                      -1: ((-1, 0), (-2, 0)) + core}
-            states = {(b, o) for b in (0, 1) for o in range(len(text[b]))}
-            if runs:
-                states.add((-1, 0))
-                states.update((-2, o) for o in range(len(four)))
-            for ch in word:
-                nxt = set()
-                for bid, off in states:
-                    if text[bid][off] != ch:
-                        continue
-                    if off + 1 == len(text[bid]):
-                        nxt.update(follow[bid])
-                    else:
-                        nxt.add((bid, off + 1))
-                if not nxt:
-                    return False
-                states = nxt
-            return True
-
         for n in range(13):
             for bits in range(1 << n):
                 word = format(bits, f"0{n}b") if n else ""
                 for p in (Params(1, 9), Params(2, 17), Params(1, 30)):
-                    assert in_language(word, p) == reference(word, p), (word, p)
-                    assert in_language(word, p, allow_initial_runs=True) == reference(
+                    assert in_language(word, p) == nfa_in_language(word, p), (word, p)
+                    assert in_language(word, p, allow_initial_runs=True) == nfa_in_language(
                         word, p, runs=True
                     ), (word, p)
+
+    def test_all_short_words_against_nfa(self):
+        # Small a and b: the gap counts between long runs decide membership.
+        for n in range(13):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                for p in NFA_PARAMS:
+                    for runs in (False, True):
+                        assert in_language(word, p, runs) == nfa_in_language(
+                            word, p, runs
+                        ), (word, p, runs)
+
+    def test_random_factors_against_nfa(self):
+        # Factors of up to 600 letters of s5/s6 products, half of them behind
+        # a preamble and half of those from its start, with up to two letters
+        # flipped.
+        rng = random.Random(5)
+        for trial in range(200):
+            p = Params(rng.randrange(1, 4), rng.randrange(4))
+            runs = trial % 2 == 1
+            text = product_word(p, rng, 10**4, preamble=runs)
+            i = rng.randrange(len(text)) if trial % 4 < 2 else rng.randrange(20)
+            letters = list(text[i : i + int(600 ** rng.random())])
+            for _ in range(rng.randrange(3)):
+                j = rng.randrange(len(letters))
+                letters[j] = "1" if letters[j] == "0" else "0"
+            word = "".join(letters)
+            assert in_language(word, p, runs) == nfa_in_language(word, p, runs), (word, p, runs)
+
+    def test_huge_b_is_capped_exactly(self):
+        # b = 10**9 must answer as any b beyond the word's length does; the
+        # reference never runs at 10**9.  A missing cap fails the first
+        # assertion, at 10**7, before anything runs at 10**9.
+        assert peak_bytes(lambda: in_language("0101", Params(1, 10**7))) < 1 << 20
+        rng = random.Random(3)
+        words = [format(bits, f"0{n}b") for n in range(1, 11) for bits in range(1 << n)]
+        words += [product_word(Params(a, 0), rng, 40)[:40] for a in (1, 2) for _ in range(20)]
+        for word in words:
+            for a in (1, 2, 3):
+                for runs in (False, True):
+                    huge = in_language(word, Params(a, 10**9), runs)
+                    assert huge == nfa_in_language(word, Params(a, len(word) + 5), runs), (
+                        word, a, runs,
+                    )
+
+    def test_huge_params_stay_small(self):
+        words = ["0101", "0101001001010010", "1" + "0" * 50, "10" * 40]
+
+        def run():
+            for word in words:
+                for runs in (False, True):
+                    in_language(word, Params(10**7, 10**7), runs)
+
+        assert peak_bytes(run) < 1 << 20
 
 
 class TestFactorization:
@@ -211,6 +293,21 @@ class TestFactorization:
             for i, x in enumerate(squares):
                 for j, y in enumerate(squares):
                     assert i == j or not y.startswith(x), (p, x, y)
+
+    def test_huge_params_parse_as_capped(self):
+        # Roots longer than the word never match, so the parse at a or b far
+        # beyond the word's length equals the parse just beyond it.
+        words = [format(bits, f"0{n}b") for n in range(1, 11) for bits in range(1 << n)]
+        for word in words:
+            n = len(word)
+            for huge, capped in (
+                (Params(10**6, 0), Params(n + 1, 0)),
+                (Params(1, 10**6), Params(1, n + 1)),
+                (Params(2, 10**6), Params(2, n + 1)),
+            ):
+                fact, ref = parse(word, huge), parse(word, capped)
+                assert (fact.indices, fact.consumed) == (ref.indices, ref.consumed)
+                assert (fact.root(), fact.word()) == (ref.root(), ref.word())
 
     def test_partial_parse(self):
         fact = parse("00100010", P10)
