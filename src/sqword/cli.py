@@ -33,10 +33,12 @@ from .standard import (
 from .words import check_binary
 
 # Caps on request sizes, so that no input can exhaust memory: brute force
-# caches every 11-free word of n/2 letters (121,393 of them at n = 48).
+# caches every 11-free word of n/2 letters (121,393 of them at n = 48), and
+# the word 0 is a solution for every (a, b) within explicit bounds.
 _MAX_LENGTH = 10**7
 _MAX_BRUTE_N = 48
 _MAX_RANGE_WIDTH = 10**4
+_MAX_BOUND = 10**3
 
 
 def _read_word(args) -> str:
@@ -98,6 +100,12 @@ def _cmd_sqrt(args) -> tuple[dict, list[str]]:
     return result, [root]
 
 
+def _check_bounds(args) -> None:
+    for flag, bound in (("--a-max", args.a_max), ("--b-max", args.b_max)):
+        if bound is not None and bound > _MAX_BOUND:
+            raise DomainError(f"{flag} is capped at {_MAX_BOUND}, got {bound}")
+
+
 def _cmd_check(args) -> tuple[dict, list[str]]:
     word = _read_word(args)
     if args.a is not None:
@@ -105,6 +113,7 @@ def _cmd_check(args) -> tuple[dict, list[str]]:
         ok = is_solution(word, params)
         result = {"word": word, "a": args.a, "b": args.b, "solution": ok}
         return result, ["solution" if ok else "not a solution"]
+    _check_bounds(args)
     bounds = list(_bounds(word, args.a_max, args.b_max))
     found = sorted(find_params(word, *bounds))
     result = {
@@ -118,6 +127,7 @@ def _cmd_check(args) -> tuple[dict, list[str]]:
 
 def _cmd_classify(args) -> tuple[dict, list[str]]:
     word = _read_word(args)
+    _check_bounds(args)
     verdict = classify(word, args.a_max, args.b_max)
     result = verdict.to_json()
     result["word"] = word

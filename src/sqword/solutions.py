@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import (
     ClassificationContradictionError,
@@ -23,7 +22,7 @@ from .errors import (
     NotDecomposableError,
     TooShortError,
 )
-from .squares import Params, _join_roots, in_language, scan_minimal_squares
+from .squares import Params, _join_roots, _language_params, in_language, scan_minimal_squares
 from .standard import central_word, is_reversed_standard
 from .words import check_binary, exchange_first_two, primitive_root
 
@@ -95,48 +94,6 @@ def is_solution(word: str, params: Params) -> bool:
     return in_language(square, params)
 
 
-def _interior_zero_runs(word: str) -> list[int]:
-    parts = word.split("1")
-    return [len(p) for p in parts[1:-1]]
-
-
-def _candidate_params(word: str, a_max: int, b_max: int) -> Iterator[Params]:
-    # Sound pruning for words with >= 2 ones: interior zero runs of the
-    # square must all be a or a+1, and the counts of short runs between
-    # consecutive long runs must all be b or b+1.
-    square = word + word
-    runs = _interior_zero_runs(square)
-    low, high = min(runs), max(runs)
-    if high > low + 1:
-        return
-    for a in (low - 1, low):
-        if not 1 <= a <= a_max:
-            continue
-        if any(r != a and r != a + 1 for r in runs):
-            continue
-        marks = [i for i, r in enumerate(runs) if r == a + 1]
-        if len(marks) >= 2:
-            gaps = [marks[j + 1] - marks[j] - 1 for j in range(len(marks) - 1)]
-            g = min(gaps)
-            if max(gaps) > g + 1:
-                continue
-            for b in sorted({g - 1, g}):
-                if 0 <= b <= b_max:
-                    yield Params(a, b)
-        else:
-            for b in range(b_max + 1):
-                yield Params(a, b)
-
-
-def _candidates(word: str, a_max: int, b_max: int) -> Iterator[Params]:
-    if word.count("1") >= 2:
-        yield from _candidate_params(word, a_max, b_max)
-    else:
-        for a in range(1, a_max + 1):
-            for b in range(b_max + 1):
-                yield Params(a, b)
-
-
 def _bounds(
     word: str, a_max: int | None, b_max: int | None, empty: str = "solutions are nonempty"
 ) -> tuple[int, int]:
@@ -153,16 +110,17 @@ def find_params(word: str, a_max: int | None = None, b_max: int | None = None) -
 
     Bounds default to twice the word length, which is enough to decide
     solution-hood outright: a minimal square inside the square of *word*
-    cannot be longer than the square itself.
+    cannot be longer than the square itself.  Only the pairs whose factor
+    language holds the square are tried.
     """
     a_max, b_max = _bounds(word, a_max, b_max)
-    return {p for p in _candidates(word, a_max, b_max) if is_solution(word, p)}
+    return {p for p in _language_params(word + word, a_max, b_max) if is_solution(word, p)}
 
 
 def has_params(word: str, a_max: int | None = None, b_max: int | None = None) -> bool:
     """Early-exit version of ``find_params(word) != set()``."""
     a_max, b_max = _bounds(word, a_max, b_max)
-    return any(is_solution(word, p) for p in _candidates(word, a_max, b_max))
+    return any(is_solution(word, p) for p in _language_params(word + word, a_max, b_max))
 
 
 def decompose_blocks(word: str) -> tuple[str, str]:

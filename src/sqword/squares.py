@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import (
     EmptyAfterTrimError,
@@ -47,7 +48,9 @@ class Params:
             raise InvalidParamsError(f"parameter b must be >= 0, got {self.b}")
 
 
-@lru_cache(maxsize=None)
+# The table caches are bounded: a table can have as many letters as the
+# word parsed, and a parameter search asks for a new pair per candidate.
+@lru_cache(maxsize=64)
 def _roots(a: int, b: int) -> tuple[str, ...]:
     run = "0" * a
     s5 = "1" + "0" * (a + 1) + ("1" + run) * b
@@ -61,18 +64,22 @@ def _roots(a: int, b: int) -> tuple[str, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _squares(a: int, b: int) -> tuple[str, ...]:
     return tuple(r + r for r in _roots(a, b))
 
 
 def _window(params: Params, n: int) -> tuple[int, int]:
-    # Capping a and b at n changes only roots longer than n letters, and no
-    # such root or its square occurs in n letters: the tables a parse of n
-    # letters needs, at a size bounded by n.  Every parse runs this, and
-    # conditionals cost a fraction of two min() calls.
+    # The tables a parse of n letters needs, at a size bounded by n.  A root
+    # longer than n letters never matches in n letters, nor does its square,
+    # so capping a at n changes nothing; s5 has a + 2 + b (a + 1) letters,
+    # more than n for every b >= n // (a + 1), so capping b there changes
+    # nothing either.  Every parse runs this, and conditionals cost a
+    # fraction of min() calls.
     a, b = params.a, params.b
-    return (a if a <= n else n), (b if b <= n else n)
+    a = a if a <= n else n
+    cap = n // (a + 1)
+    return a, (b if b <= cap else cap)
 
 
 def minimal_square_roots(params: Params) -> tuple[str, str, str, str, str, str]:
@@ -109,6 +116,30 @@ def _derive(word: str, k: int, free_head: bool) -> str | None:
     if tail == k + 1:
         kinds += "L"
     return kinds.translate(_KINDS)
+
+
+def _levels(word: str, low: int, high: int) -> range:
+    # The k in low..high that _derive(word, k, False) may accept: the edge
+    # zero runs are at most k + 1, and the first zero run between two 1s is
+    # k or k + 1.  _derive decides each k left.
+    first = word.find("1")
+    second = word.find("1", first + 1)
+    low = max(low, first - 1, len(word) - 2 - word.rfind("1"))
+    if second >= 0:
+        run = second - first - 1
+        low, high = max(low, run - 1), min(high, run)
+    return range(low, high + 1)
+
+
+def _language_params(word: str, a_max: int, b_max: int) -> Iterator[Params]:
+    # Every Params(a, b) with a <= a_max and b <= b_max whose factor language
+    # holds *word*, in increasing order.
+    for a in _levels(word, 1, a_max):
+        kinds = _derive(word, a, False)
+        if kinds is not None:
+            for b in _levels(kinds, 0, b_max):
+                if _derive(kinds, b, False) is not None:
+                    yield Params(a, b)
 
 
 def in_language(word: str, params: Params, allow_initial_runs: bool = False) -> bool:

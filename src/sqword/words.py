@@ -18,8 +18,6 @@ from .errors import (
     TooShortError,
 )
 
-_BINARY = frozenset("01")
-
 
 def check_binary(word: str) -> str:
     """Return *word* unchanged after checking it is a string over {0, 1}."""
@@ -27,8 +25,8 @@ def check_binary(word: str) -> str:
         raise InvalidLetterError(
             f"expected a string of '0'/'1' letters, got {type(word).__name__}"
         )
-    if not _BINARY.issuperset(word):
-        bad = next(ch for ch in word if ch not in _BINARY)
+    if word.count("0") + word.count("1") != len(word):
+        bad = next(ch for ch in word if ch not in "01")
         raise InvalidLetterError(f"invalid letter {bad!r} in binary word")
     return word
 

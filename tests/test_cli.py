@@ -233,6 +233,8 @@ class TestCaps:
             "two_periodic_word",
             "brute_force_solutions",
             "count_solutions",
+            "find_params",
+            "classify",
         ):
             monkeypatch.setattr(f"sqword.cli.{name}", refuse)
 
@@ -247,6 +249,10 @@ class TestCaps:
             ["list", "--n", "80"],
             ["count", "--range", f"1..{10**9}"],
             ["count", "--range", f"1..{10**4 + 1}"],
+            ["check", "--word", "0", "--a-max", str(10**5), "--b-max", str(10**5)],
+            ["check", "--word", "0", "--b-max", str(10**3 + 1)],
+            ["classify", "--word", "0", "--a-max", str(10**3 + 1)],
+            ["classify", "--word", "0101", "--b-max", str(10**9)],
         ],
     )
     def test_rejected(self, capsys, argv):
@@ -264,3 +270,9 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     assert seen == [48]
     code, out, err = run_cli(capsys, "--format", "csv", "count", "--range", f"1..{10**4}")
     assert code == 0 and len(out.split()) == 10**4
+    bounds = []
+    monkeypatch.setattr("sqword.cli.find_params", lambda w, *b: bounds.append(b) or set())
+    run_json(capsys, "check", "--word", "0", "--a-max", "1000", "--b-max", "1000")
+    assert bounds == [(1000, 1000)]
+    env = run_json(capsys, "classify", "--word", "0101", "--a-max", "1000", "--b-max", "1000")
+    assert env["result"]["verdict"] == "PowerOfPrimitive"

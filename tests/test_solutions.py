@@ -149,6 +149,20 @@ class TestIsSolution:
         assert found == (params.a == 1)
         assert peak < 1 << 20
 
+    def test_b_window_stays_small(self):
+        # s5 already outgrows the square at b = n // (a + 1); at b capped at
+        # n instead, these tables would take about 23 MB
+        squares._roots.cache_clear()
+        squares._squares.cache_clear()
+        tracemalloc.start()
+        try:
+            found = is_solution("0" * 2000, Params(1000, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not found
+        assert peak < 1 << 20
+
     def test_definition_agreement(self):
         # solution <=> the square has a root and the root is the word itself
         for word in no11_words(6):
@@ -181,9 +195,42 @@ class TestFindParams:
         assert find_params("0110") == set()
 
     def test_pruned_equals_full_scan(self):
-        for n in range(1, 13):
-            for word in no11_words(n):
-                assert find_params(word) == find_params_unpruned(word), word
+        words = [format(bits, f"0{n}b") for n in range(1, 11) for bits in range(1 << n)]
+        words += no11_words(11) + no11_words(12)
+        for word in words:
+            assert find_params(word) == find_params_unpruned(word), word
+
+    def test_pruned_equals_full_scan_under_bounds(self):
+        # a_max below the default and b_max above it, so that candidates
+        # beyond the default box and cut off below it both show
+        words = [format(bits, f"0{n}b") for n in range(1, 9) for bits in range(1 << n)]
+        for word in words:
+            n = len(word)
+            for a_max, b_max in ((1, 3 * n), (n, 4 * n + 3)):
+                assert find_params(word, a_max, b_max) == find_params_unpruned(
+                    word, a_max, b_max
+                ), (word, a_max, b_max)
+                assert has_params(word, a_max, b_max) == bool(
+                    find_params_unpruned(word, a_max, b_max)
+                ), (word, a_max, b_max)
+
+    @pytest.mark.parametrize("word", ["0" * 30, "0000010000000000"])
+    def test_candidates_come_from_the_language(self, monkeypatch, word):
+        # a scan of the whole box would make 3,660 and 1,056 calls here; the
+        # language leaves two a and every b
+        calls = []
+
+        def counting(w, p):
+            calls.append(p)
+            return is_solution(w, p)
+
+        monkeypatch.setattr("sqword.solutions.is_solution", counting)
+        found = find_params(word)
+        assert len(calls) <= 2 * (2 * len(word) + 1)
+        assert found == find_params_unpruned(word)
+
+    def test_long_zero_run(self):
+        assert find_params("0" * 200) == {Params(a, b) for a in (399, 400) for b in range(401)}
 
     def test_pruned_equals_full_scan_with_eleven(self):
         for word in ("011", "0110", "011011", "0101101"):

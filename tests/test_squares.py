@@ -309,6 +309,26 @@ class TestFactorization:
                 assert (fact.indices, fact.consumed) == (ref.indices, ref.consumed)
                 assert (fact.root(), fact.word()) == (ref.root(), ref.word())
 
+    def test_b_window_is_exact(self):
+        # The window caps b at n // (a + 1), where s5 already outgrows the
+        # word: the parse equals a greedy scan over the full-size squares.
+        words = [format(bits, f"0{n}b") for n in range(1, 11) for bits in range(1 << n)]
+        for a in (1, 2, 3, 4):
+            for b in range(8):
+                p = Params(a, b)
+                full = minimal_squares(p)
+                for word in words:
+                    indices, pos = [], 0
+                    while True:
+                        i = next((i for i, sq in enumerate(full) if word.startswith(sq, pos)), None)
+                        if i is None:
+                            break
+                        indices.append(i + 1)
+                        pos += len(full[i])
+                    fact = parse(word, p)
+                    assert (fact.indices, fact.consumed) == (tuple(indices), pos), (word, p)
+                    assert fact.root() == "".join(minimal_square_roots(p)[i - 1] for i in indices)
+
     def test_partial_parse(self):
         fact = parse("00100010", P10)
         assert fact.indices == (1,)

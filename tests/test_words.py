@@ -13,6 +13,7 @@ from sqword.words import (
     PrefixSumWord,
     ScaledWeights,
     are_conjugate,
+    check_binary,
     exchange_first_two,
     is_primitive,
     prefix_sum_word,
@@ -27,6 +28,23 @@ nonempty_words = st.text(alphabet="01", min_size=1, max_size=40)
 bases = st.text(alphabet="01", min_size=2, max_size=30).filter(
     lambda w: "0" in w and "1" in w
 )
+
+
+class TestCheckBinary:
+    def test_accepts_binary(self):
+        for word in ("", "0", "1", "0110", "01" * 1000):
+            assert check_binary(word) is word
+
+    @pytest.mark.parametrize("word", ["2", "0102", "01 ", "10\u0661", "0" * 500 + "x"])
+    def test_names_the_bad_letter(self, word):
+        bad = next(ch for ch in word if ch not in "01")
+        with pytest.raises(InvalidLetterError, match=repr(bad)):
+            check_binary(word)
+
+    def test_rejects_non_strings(self):
+        for value in (None, 1, b"01", ["0", "1"]):
+            with pytest.raises(InvalidLetterError, match=type(value).__name__):
+                check_binary(value)
 
 
 class TestSlope:
