@@ -32,11 +32,12 @@ from .standard import (
 )
 from .words import check_binary
 
-# Caps on request sizes, so that no input can exhaust memory: brute force
-# caches every 11-free word of n/2 letters (121,393 of them at n = 48), and
-# the word 0 is a solution for every (a, b) within explicit bounds.
+# Caps on request sizes, so that no input can exhaust memory or run for
+# minutes: brute force keeps only O(n) prefixes on its stack but its time
+# grows by about 1.18^n (n = 60 takes 5 to 9 s on a 2-core box), and the
+# word 0 is a solution for every (a, b) within explicit bounds.
 _MAX_LENGTH = 10**7
-_MAX_BRUTE_N = 48
+_MAX_BRUTE_N = 60
 _MAX_RANGE_WIDTH = 10**4
 _MAX_BOUND = 10**3
 

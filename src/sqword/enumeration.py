@@ -11,9 +11,12 @@ words over blocks of length d::
     E(n, d) = (2^(O(n/d) - 1) - 1) * (phi(d)/2 - tau(d - 1) + 1)
 
 with O the number of doubling-map orbits, phi Euler's totient and tau the
-number-of-divisors function.  The brute-force oracle enumerates 11-free
-words starting with 0 (one representative per symmetry class) and keeps
-those admitting parameters.
+number-of-divisors function.  The brute-force oracle searches the words
+that start with 0 (one representative per symmetry class) and avoid 11 (no
+solution contains 11) depth first, and keeps those admitting parameters.
+The factor language is closed under factors and holds the square of every
+solution, so the search drops each prefix that no parameter pair admits.
+It reads only the language and ``has_params``, never the formula.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
 from .solutions import doubling_orbits, has_params
+from .squares import _language_params
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -152,34 +156,6 @@ def count_solutions(
     return CountReport(n=n, formula_count=formula, brute_count=brute_count, per_divisor=per)
 
 
-@lru_cache(maxsize=None)
-def _no11_words(length: int, may_start_one: bool) -> tuple[str, ...]:
-    # All 11-free words of the length, lexicographically; without
-    # may_start_one only those starting with 0 (to follow a 1).
-    if length == 0:
-        return ("",)
-    words = ["0" + w for w in _no11_words(length - 1, True)]
-    if may_start_one:
-        words += ["1" + w for w in _no11_words(length - 1, False)]
-    return tuple(words)
-
-
-def _candidate_words(n: int):
-    """All length-n words that start with 0 and avoid 11, lexicographically.
-
-    Starting with 0 picks one representative per class under the 0/1 swap
-    and the first-two-letter exchange; 11-free words suffice because no
-    solution contains 11.  Each word is a head of about n/2 letters joined
-    to a tail, both from cached tables, so the tables stay small.
-    """
-    tail_len = n // 2
-    after_zero = _no11_words(tail_len, True)
-    after_one = _no11_words(tail_len, False)
-    for head in _no11_words(n - tail_len, False):
-        for tail in after_one if head[-1] == "1" else after_zero:
-            yield head + tail
-
-
 def brute_force_solutions(
     n: int,
     a_cap: int | None = None,
@@ -187,8 +163,27 @@ def brute_force_solutions(
 ) -> list[str]:
     """All solutions of length n, one per symmetry class, lexicographically.
 
-    Parameter caps default to twice the length (complete).
+    A depth-first search over the words that start with 0 and avoid 11.  A
+    solution for (a, b) has its square, and so each of its prefixes, in the
+    factor language of (a, b); a prefix with two 1s that no pair within the
+    caps admits is dropped with all its extensions.  Parameter caps default
+    to twice the length (complete), the bounds ``has_params`` applies to
+    each word of length n.
     """
     if n < 1:
         raise DomainError("brute_force_solutions needs n >= 1")
-    return [w for w in _candidate_words(n) if has_params(w, a_cap, b_cap)]
+    a_max = 2 * n if a_cap is None else a_cap
+    b_max = 2 * n if b_cap is None else b_cap
+    found = []
+    stack = ["0"]
+    while stack:
+        word = stack.pop()
+        if len(word) == n:
+            if has_params(word, a_cap, b_cap):
+                found.append(word)
+            continue
+        # push the 1-child first so that words come off the stack in order
+        for child in (word + "1", word + "0") if word[-1] == "0" else (word + "0",):
+            if child.count("1") < 2 or next(_language_params(child, a_max, b_max), None) is not None:
+                stack.append(child)
+    return found

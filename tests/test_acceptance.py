@@ -97,6 +97,19 @@ def test_criterion_2_oracle_equivalence():
     )
 
 
+def test_oracle_equivalence_beyond_30():
+    start = time.perf_counter()
+    for n in range(31, 41):
+        brute = len(brute_force_solutions(n))
+        formula = count_solutions(n).formula_count
+        assert brute == formula, f"n={n}: brute {brute} != formula {formula}"
+    elapsed = time.perf_counter() - start
+    print(
+        f"\nPASS: brute-force count equals the formula for every "
+        f"31 <= n <= 40 ({elapsed:.1f}s)"
+    )
+
+
 def test_criterion_3_large_n_formula():
     start = time.perf_counter()
     value = count_solutions(1736).formula_count

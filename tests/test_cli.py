@@ -243,9 +243,9 @@ class TestCaps:
         [
             ["fixedpoint", "--kind", "sl", "--word", "01010010", "--length", str(10**12)],
             ["fixedpoint", "--kind", "nosquare", "--a", "1", "--length", str(10**7 + 1)],
-            ["count", "--n", "49", "--brute"],
+            ["count", "--n", "61", "--brute"],
             ["count", "--n", "80", "--brute"],
-            ["count", "--range", "40..49", "--brute"],
+            ["count", "--range", "52..61", "--brute"],
             ["list", "--n", "80"],
             ["count", "--range", f"1..{10**9}"],
             ["count", "--range", f"1..{10**4 + 1}"],
@@ -266,8 +266,8 @@ class TestCaps:
 def test_caps_admit_their_limits(capsys, monkeypatch):
     seen = []
     monkeypatch.setattr("sqword.cli.brute_force_solutions", lambda n, *caps: seen.append(n) or [])
-    run_json(capsys, "list", "--n", "48")
-    assert seen == [48]
+    run_json(capsys, "list", "--n", "60")
+    assert seen == [60]
     code, out, err = run_cli(capsys, "--format", "csv", "count", "--range", f"1..{10**4}")
     assert code == 0 and len(out.split()) == 10**4
     bounds = []

@@ -1,10 +1,11 @@
+import functools
 import itertools
 import math
 
 import pytest
 
+import sqword.enumeration
 from sqword.enumeration import (
-    _candidate_words,
     brute_force_solutions,
     count_solutions,
     divisor_count,
@@ -30,6 +31,37 @@ A330878 = [
     7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 14,
     13, 14, 14, 15, 15, 16, 16, 17, 19, 18, 18, 20,
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def _no11_words(length: int, may_start_one: bool) -> tuple[str, ...]:
+    # All 11-free words of the length, lexicographically; without
+    # may_start_one only those starting with 0 (to follow a 1).
+    if length == 0:
+        return ("",)
+    words = ["0" + w for w in _no11_words(length - 1, True)]
+    if may_start_one:
+        words += ["1" + w for w in _no11_words(length - 1, False)]
+    return tuple(words)
+
+
+def _candidate_words(n: int):
+    """All length-n words that start with 0 and avoid 11, lexicographically.
+
+    Each word is a head of about n/2 letters joined to a tail, both from
+    cached tables, so the tables stay small.
+    """
+    tail_len = n // 2
+    after_zero = _no11_words(tail_len, True)
+    after_one = _no11_words(tail_len, False)
+    for head in _no11_words(n - tail_len, False):
+        for tail in after_one if head[-1] == "1" else after_zero:
+            yield head + tail
+
+
+def generate_and_test(n, a_cap=None, b_cap=None):
+    """The unpruned oracle: every 0-initial 11-free word that has parameters."""
+    return [w for w in _candidate_words(n) if has_params(w, a_cap, b_cap)]
 
 
 class TestArithmetic:
@@ -162,6 +194,34 @@ class TestBruteForce:
     def test_matches_formula_small(self):
         for n in range(1, 15):
             assert len(brute_force_solutions(n)) == count_solutions(n).formula_count
+
+    def test_pruned_equals_generate_and_test(self):
+        for n in range(1, 25):
+            assert brute_force_solutions(n) == generate_and_test(n), n
+
+    @pytest.mark.parametrize("caps", [(1, None), (2, 0), (3, 2), (None, 1), (0, 5)])
+    def test_pruned_equals_generate_and_test_under_caps(self, caps):
+        for n in range(1, 19):
+            assert brute_force_solutions(n, *caps) == generate_and_test(n, *caps), n
+
+    def test_pruning_bounds_the_leaves(self, monkeypatch):
+        # Generate-and-test would check 5.7 M words at n = 33; the pruned
+        # search reaches 1,863 words of full length.
+        leaves = []
+        original = sqword.enumeration.has_params
+        monkeypatch.setattr(
+            "sqword.enumeration.has_params", lambda w, *caps: leaves.append(w) or original(w, *caps)
+        )
+        assert len(brute_force_solutions(33)) == 19
+        assert 19 <= len(leaves) <= 2000
+
+    def test_no_solution_contains_11(self):
+        # The search only builds 11-free words.
+        for n in range(2, 15):
+            for letters in itertools.product("01", repeat=n):
+                word = "".join(letters)
+                if "11" in word:
+                    assert not has_params(word), word
 
     def test_candidates_are_filtered_product(self):
         # The head-by-tail enumerator must list exactly the 0-initial,
