@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
+from typing import Iterable
 
 from . import __version__
 from .dynamics import (
@@ -34,12 +36,14 @@ from .words import check_binary
 
 # Caps on request sizes, so that no input can exhaust memory or run for
 # minutes: brute force keeps only O(n) prefixes on its stack but its time
-# grows by about 1.18^n (n = 60 takes 5 to 9 s on a 2-core box), and the
-# word 0 is a solution for every (a, b) within explicit bounds.
+# grows by about 1.18^n (n = 60 takes 5 to 9 s on a 2-core box), the word 0
+# is a solution for every (a, b) within explicit bounds, and the orbit
+# partition of 10^6 residues peaks at about 130 MB.
 _MAX_LENGTH = 10**7
 _MAX_BRUTE_N = 60
 _MAX_RANGE_WIDTH = 10**4
 _MAX_BOUND = 10**3
+_MAX_ORBITS_N = 10**6
 
 
 def _read_word(args) -> str:
@@ -74,14 +78,31 @@ def _parse_directive(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _check_standard_length(terms: Iterable[int]) -> None:
+    # |s(1)| = d1 and |s(k)| = dk |s(k-1)| + |s(k-2)|, read term by term and
+    # stopped past the cap, so that a long directive is never built; a term
+    # below 1 is left for standard_from_directive to reject.
+    prev, length = 0, 1
+    for d in terms:
+        if d < 1:
+            return
+        prev, length = length, d * length + prev
+        if length > _MAX_LENGTH:
+            raise DomainError(f"words are capped at {_MAX_LENGTH} letters, got at least {length}")
+
+
 def _cmd_gen(args) -> tuple[dict, list[str]]:
     if args.what == "standard":
         directive = _parse_directive(args.directive)
+        _check_standard_length(directive)
         result = _word_report(standard_from_directive(directive), directive, args.reversed)
     elif args.what == "fibonacci":
+        _check_standard_length(chain((2,), repeat(1, args.k - 1)))
         word = fibonacci_word(args.k)
         result = _word_report(word, directive_of_standard(word), args.reversed)
     else:  # central
+        if args.d - 2 > _MAX_LENGTH:
+            raise DomainError(f"--d is capped at {_MAX_LENGTH + 2}, got {args.d}")
         word = central_word(args.c, args.d)
         result = {"word": word, "c": args.c, "d": args.d, "length": len(word)}
     return result, [result["word"]]
@@ -173,6 +194,8 @@ def _cmd_list(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_orbits(args) -> tuple[dict, list[str]]:
+    if args.n > _MAX_ORBITS_N:
+        raise DomainError(f"--n is capped at {_MAX_ORBITS_N}, got {args.n}")
     orbits = doubling_orbits(args.n)
     result = {
         "n": args.n,

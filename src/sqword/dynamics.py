@@ -10,6 +10,7 @@ shifted square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 from .errors import (
@@ -76,7 +77,11 @@ class SquareStream:
         return self.prefix_blocks(min_len)[0]
 
 
-def _require_long_block(block: str) -> Params:
+def _chain_params(block: str, c: int) -> Params:
+    # The checks shared by both views of the solution chain over *block*.
+    check_binary(block)
+    if c < 1:
+        raise PreconditionFailedError("the power parameter c must be >= 1")
     params = natural_params(block)
     if params is None:
         raise PreconditionFailedError(
@@ -90,6 +95,13 @@ def _require_long_block(block: str) -> Params:
     return params
 
 
+def _chain(block: str, c: int) -> Iterator[str]:
+    word = block
+    while True:
+        yield word
+        word = exchange_first_two(word) + word * (2 * c)
+
+
 def fixed_point_solutions(block: str, c: int = 1) -> Iterator[str]:
     """The solution chain Z0 = block, Z(n+1) = exchange(Zn) Zn^(2c).
 
@@ -97,18 +109,8 @@ def fixed_point_solutions(block: str, c: int = 1) -> Iterator[str]:
     and odd subsequences converge to a fixed point of the square-root map
     and its first-two-letter exchange.
     """
-    check_binary(block)
-    if c < 1:
-        raise PreconditionFailedError("the power parameter c must be >= 1")
-    _require_long_block(block)
-
-    def chain() -> Iterator[str]:
-        word = block
-        while True:
-            yield word
-            word = exchange_first_two(word) + word * (2 * c)
-
-    return chain()
+    _chain_params(block, c)
+    return _chain(block, c)
 
 
 def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
@@ -118,15 +120,12 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
     stream re-factors the growing even-chain prefixes and emits each block
     exactly once.
     """
-    check_binary(block)
-    if c < 1:
-        raise PreconditionFailedError("the power parameter c must be >= 1")
-    params = _require_long_block(block)
+    params = _chain_params(block, c)
 
     def gen() -> Iterator[int]:
-        word = block
+        # a fresh chain per call: prefix_blocks asks for a new iterator each time
         emitted = 0
-        while True:
+        for word in islice(_chain(block, c), 0, None, 2):
             fact = _parse(word + word, params)
             if not fact.complete:
                 raise NotInPiError(
@@ -134,8 +133,6 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
                 )
             yield from fact.indices[emitted:]
             emitted = len(fact.indices)
-            for _ in range(2):
-                word = exchange_first_two(word) + word * (2 * c)
 
     return SquareStream(params, gen, f"square-root fixed point over {block}")
 
@@ -236,8 +233,8 @@ def detect_period(
     n = len(word)
     if n == 0:
         return None
-    if max_period is None:
-        max_period = n // 2
+    # a period p with 2p > n never qualifies, so the cap is exact
+    max_period = n // 2 if max_period is None else min(max_period, n // 2)
     best: tuple[int, int] | None = None
     for period in range(1, max_period + 1):
         preperiod = 0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
-from .solutions import doubling_orbits, has_params
+from .solutions import has_params
 from .squares import _language_params
 
 
@@ -98,11 +98,6 @@ def orbit_count(length: int) -> int:
     while odd % 2 == 0:
         odd //= 2
     return sum(euler_phi(d) // order_of_two(d) for d in divisors(odd))
-
-
-def orbit_count_direct(length: int) -> int:
-    """Orbit count by explicit orbit enumeration; must agree with the formula."""
-    return len(doubling_orbits(length))
 
 
 def pattern_excess(n: int, d: int) -> int:

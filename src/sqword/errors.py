@@ -21,20 +21,8 @@ class TooShortError(DomainError):
     """Exchanging the first two letters needs a word of length at least 2."""
 
 
-class DegenerateBaseError(DomainError):
-    """Weighting needs a base word containing both letters."""
-
-
 class InvalidParamsError(DomainError):
     """Square-root parameters must satisfy a >= 1 and b >= 0."""
-
-
-class NoSquareMatchesError(DomainError):
-    """Greedy square factorization got stuck; carries the stuck position."""
-
-    def __init__(self, position: int, message: str | None = None):
-        self.position = position
-        super().__init__(message or f"no minimal square matches at position {position}")
 
 
 class NotInPiError(DomainError):

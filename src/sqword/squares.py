@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import (
-    EmptyAfterTrimError,
-    EmptyWordError,
-    InvalidParamsError,
-    NoSquareMatchesError,
-    NotInPiError,
-)
+from .errors import EmptyAfterTrimError, InvalidParamsError, NotInPiError
 from .words import check_binary
 
 
@@ -199,10 +193,6 @@ class SquareFactorization:
     consumed: int
     complete: bool
 
-    def word(self) -> str:
-        squares = _squares(*_window(self.params, self.consumed))
-        return "".join(squares[i - 1] for i in self.indices)
-
     def root(self) -> str:
         """The square root of the factored prefix: every square halved."""
         return _join_roots(self.indices, self.params, self.consumed)
@@ -223,23 +213,6 @@ def parse(word: str, params: Params) -> SquareFactorization:
     language is not checked here."""
     check_binary(word)
     return _parse(word, params)
-
-
-def factor_minimal_squares(word: str, params: Params) -> SquareFactorization:
-    """Factor *word* as a product of minimal squares, or fail."""
-    fact = parse(word, params)
-    if not word:
-        raise EmptyWordError("cannot factor the empty word")
-    if not fact.complete:
-        raise NoSquareMatchesError(fact.consumed)
-    return fact
-
-
-def has_square_root(word: str, params: Params) -> bool:
-    """True iff *word* is nonempty, in the factor language, and a product
-    of minimal squares (the domain of the square-root map)."""
-    fact = parse(word, params)
-    return bool(word) and fact.complete and in_language(word, params)
 
 
 def square_root(word: str, params: Params, trim: bool = False) -> str:

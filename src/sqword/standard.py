@@ -65,7 +65,7 @@ def central_word(c: int, d: int) -> str:
     """
     if d < 2 or not 1 <= c < d or gcd(c, d) != 1:
         raise InvalidSlopeError(f"need coprime 1 <= c < d with d >= 2, got c={c}, d={d}")
-    return "".join(str(c * (j + 1) // d - c * j // d) for j in range(1, d - 1))
+    return "".join("01"[c * (j + 1) // d - c * j // d] for j in range(1, d - 1))
 
 
 @dataclass(frozen=True)

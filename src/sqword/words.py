@@ -1,22 +1,15 @@
-"""Finite binary words and exact letter-weight machinery.
+"""Finite binary words: validation, slope, exchange and primitivity.
 
 Words are plain Python strings over {'0', '1'}: immutable, value-semantic,
-freely shareable.  All weight arithmetic is scaled by the length of a fixed
-base word so that only integers appear; slopes are reduced fractions.  No
-floating point is used anywhere.
+freely shareable.  Slopes are reduced fractions; no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegenerateBaseError,
-    EmptyWordError,
-    InvalidLetterError,
-    TooShortError,
-)
+from .errors import EmptyWordError, InvalidLetterError, TooShortError
 
 
 def check_binary(word: str) -> str:
@@ -37,84 +30,6 @@ def slope(word: str) -> Fraction:
     if not word:
         raise EmptyWordError("slope of the empty word is undefined")
     return Fraction(word.count("1"), len(word))
-
-
-@dataclass(frozen=True)
-class ScaledWeights:
-    """Zero-sum letter weights for a base word, scaled by its length.
-
-    ``w0`` is the weight of '0' and ``w1`` the weight of '1', both multiplied
-    by ``base_len`` so they are exact integers.  By construction
-    ``w1 - w0 == base_len`` (the unscaled weights differ by 1) and the base
-    word itself sums to zero.
-    """
-
-    base_len: int
-    w0: int
-    w1: int
-
-    def __post_init__(self):
-        if self.base_len <= 0:
-            raise DegenerateBaseError("base length must be positive")
-        if self.w1 - self.w0 != self.base_len:
-            raise DegenerateBaseError("weights must satisfy w1 - w0 == base_len")
-        if not (self.w0 <= 0 <= self.w1):
-            raise DegenerateBaseError("weights must straddle zero")
-
-    @classmethod
-    def from_base(cls, base: str) -> "ScaledWeights":
-        check_binary(base)
-        ones = base.count("1")
-        if not base or ones == 0 or ones == len(base):
-            raise DegenerateBaseError("base word must contain both letters")
-        return cls(base_len=len(base), w0=-ones, w1=len(base) - ones)
-
-
-def scaled_sum(word: str, base: str) -> int:
-    """Sum of the letters of *word* under the weights of *base*, times |base|.
-
-    Equals ``ones(word) * zeros(base) - zeros(word) * ones(base)``, an exact
-    integer; dividing by ``len(base)`` recovers the rational letter sum.
-    """
-    w = ScaledWeights.from_base(base)
-    check_binary(word)
-    ones = word.count("1")
-    return ones * w.w1 + (len(word) - ones) * w.w0
-
-
-@dataclass(frozen=True)
-class PrefixSumWord:
-    """Running letter sums of a word, scaled by the base length.
-
-    ``values[i]`` is the scaled sum of the first ``i + 1`` letters; dividing
-    every value by ``denominator`` gives the rational prefix sums.
-    """
-
-    values: tuple[int, ...]
-    denominator: int
-
-    @property
-    def min(self) -> int:
-        return min(self.values)
-
-    @property
-    def max(self) -> int:
-        return max(self.values)
-
-    def to_json(self) -> dict:
-        return {"denominator": self.denominator, "values": list(self.values)}
-
-
-def prefix_sum_word(word: str, base: str) -> PrefixSumWord:
-    """Prefix sum word of *word* under the zero-sum weights of *base*."""
-    w = ScaledWeights.from_base(base)
-    check_binary(word)
-    values = []
-    total = 0
-    for ch in word:
-        total += w.w1 if ch == "1" else w.w0
-        values.append(total)
-    return PrefixSumWord(values=tuple(values), denominator=w.base_len)
 
 
 def exchange_first_two(word: str) -> str:

@@ -18,7 +18,7 @@ from sqword.dynamics import (
     two_periodic_word,
     verify_fixed_point,
 )
-from sqword.enumeration import brute_force_solutions, count_solutions, orbit_count, orbit_count_direct
+from sqword.enumeration import brute_force_solutions, count_solutions, orbit_count
 from sqword.solutions import (
     Verdict,
     classify,
@@ -27,15 +27,15 @@ from sqword.solutions import (
     is_solution,
     substitute_pattern,
 )
-from sqword.squares import Params, factor_minimal_squares, minimal_square_roots, square_root
+from sqword.squares import Params, minimal_square_roots, parse, square_root
 from sqword.standard import is_reversed_standard, natural_params, standard_from_directive
 from sqword.words import (
     are_conjugate,
     exchange_first_two,
     is_primitive,
-    prefix_sum_word,
     primitive_root,
 )
+from weights import prefix_sums
 
 TABLE_1_TO_36 = [
     1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7,
@@ -122,7 +122,7 @@ def test_criterion_3_large_n_formula():
 def test_criterion_4_orbit_counts():
     assert [orbit_count(l) for l in range(1, 22)] == ORBIT_COUNTS_1_TO_21
     for l in range(1, 2001):
-        assert orbit_count(l) == orbit_count_direct(l), l
+        assert orbit_count(l) == len(doubling_orbits(l)), l
     print(
         "\nPASS criterion 4: orbit counts match the published prefix and the "
         "formula equals direct enumeration for every length <= 2000"
@@ -131,13 +131,14 @@ def test_criterion_4_orbit_counts():
 
 def test_criterion_5_worked_example():
     square = FLAGSHIP + FLAGSHIP
-    assert factor_minimal_squares(square, P10).indices == (2, 1, 6)
+    fact = parse(square, P10)
+    assert fact.complete and fact.indices == (2, 1, 6)
     assert square_root(square, P10) == FLAGSHIP
     assert is_solution(FLAGSHIP, P10)
     assert classify(FLAGSHIP).verdict is Verdict.TYPE_I
-    psw = prefix_sum_word(FLAGSHIP, FLAGSHIP)
-    assert psw.values == (-3, 2, -1, 4, 1, -2, 3, 0)
-    assert psw.denominator == 8
+    # scaled by the denominator len(FLAGSHIP) == 8
+    assert prefix_sums(FLAGSHIP, FLAGSHIP) == (-3, 2, -1, 4, 1, -2, 3, 0)
+    assert len(FLAGSHIP) == 8
     print(
         "\nPASS criterion 5: the worked example (01010010 at a=1, b=0) "
         "factors as squares 2,1,6, solves, classifies type I, and its "
@@ -174,8 +175,8 @@ def test_criterion_7_classification_properties(solutions_to_24):
                 gcd_one = math.gcd(len(word), word.count("1")) == 1
                 assert is_reversed_standard(word) == gcd_one, word
             if "1" in word:
-                psw = prefix_sum_word(word, word)
-                assert -word.count("1") <= psw.min <= psw.max <= word.count("0")
+                sums = prefix_sums(word, word)
+                assert -word.count("1") <= min(sums) <= max(sums) <= word.count("0")
     assert checked >= 100
     print(
         f"\nPASS criterion 7: {checked} brute-forced solutions of length <= 24 "

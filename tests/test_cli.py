@@ -213,6 +213,11 @@ class TestOtherCommands:
         assert env["result"]["preperiod"] == 1
         assert env["result"]["period"] == 2
 
+    def test_period_with_a_huge_max_period(self, capsys):
+        # only periods up to half the word can qualify, so this is instant
+        env = run_json(capsys, "period", "--word", "0001", "--max-period", str(10**12))
+        assert env["result"] == {"word": "0001", "period": None}
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fixedpoint", "--kind", "bogus", "--length", "5"])
@@ -235,6 +240,10 @@ class TestCaps:
             "count_solutions",
             "find_params",
             "classify",
+            "standard_from_directive",
+            "fibonacci_word",
+            "central_word",
+            "doubling_orbits",
         ):
             monkeypatch.setattr(f"sqword.cli.{name}", refuse)
 
@@ -253,6 +262,17 @@ class TestCaps:
             ["check", "--word", "0", "--b-max", str(10**3 + 1)],
             ["classify", "--word", "0", "--a-max", str(10**3 + 1)],
             ["classify", "--word", "0101", "--b-max", str(10**9)],
+            ["gen", "standard", "--directive", str(10**7 + 1)],
+            ["gen", "standard", "--directive", str(10**9)],
+            ["gen", "standard", "--directive", "2," + ",".join(["1"] * 10**5)],
+            ["gen", "standard", "--directive", "2,5000001"],
+            ["gen", "fibonacci", "--k", "34"],
+            ["gen", "fibonacci", "--k", "45"],
+            ["gen", "fibonacci", "--k", str(10**18)],
+            ["gen", "central", "--c", "1", "--d", str(10**7 + 3)],
+            ["gen", "central", "--c", "3", "--d", str(10**9)],
+            ["orbits", "--n", str(10**6 + 1)],
+            ["orbits", "--n", str(10**9)],
         ],
     )
     def test_rejected(self, capsys, argv):
@@ -276,3 +296,14 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     assert bounds == [(1000, 1000)]
     env = run_json(capsys, "classify", "--word", "0101", "--a-max", "1000", "--b-max", "1000")
     assert env["result"]["verdict"] == "PowerOfPrimitive"
+    built = []
+    # the largest words within 10^7 letters: 10^7, F(35) = 9,227,465, d - 2 = 10^7
+    monkeypatch.setattr("sqword.cli.standard_from_directive", lambda d: built.append(d) or "0")
+    run_json(capsys, "gen", "standard", "--directive", str(10**7))
+    monkeypatch.setattr("sqword.cli.fibonacci_word", lambda k: built.append(k) or "0")
+    run_json(capsys, "gen", "fibonacci", "--k", "33")
+    monkeypatch.setattr("sqword.cli.central_word", lambda c, d: built.append(d) or "0")
+    run_json(capsys, "gen", "central", "--c", "1", "--d", str(10**7 + 2))
+    monkeypatch.setattr("sqword.cli.doubling_orbits", lambda n: built.append(n) or ())
+    run_json(capsys, "orbits", "--n", str(10**6))
+    assert built == [(10**7,), 33, 10**7 + 2, 10**6]

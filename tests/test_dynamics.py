@@ -21,7 +21,7 @@ from sqword.errors import (
     PreconditionFailedError,
 )
 from sqword.solutions import classify, is_solution, Verdict
-from sqword.squares import Params, has_square_root, minimal_square_roots, parse, square_root
+from sqword.squares import Params, in_language, minimal_square_roots, parse, square_root
 from sqword.words import are_conjugate, exchange_first_two
 
 P10 = Params(1, 0)
@@ -87,6 +87,15 @@ class TestStreams:
         assert prefix.startswith(z0 + z0)
         assert prefix.startswith(z2 + z2[: len(prefix) - len(z2)])
 
+    def test_sl_stream_restarts_its_chain(self):
+        # prefix_blocks asks the factory for a fresh chain on every call
+        for c in (1, 2):
+            stream = fixed_point_stream(BLOCK, c)
+            long = stream.prefix_blocks(5000)
+            short = stream.prefix_blocks(100)
+            assert stream.prefix_blocks(5000) == long
+            assert long[0].startswith(short[0]) and long[1][: len(short[1])] == short[1]
+
     def test_no_square_prefix_head(self):
         stream = no_square_prefix_word(1)
         assert stream.prefix(16).startswith("100100" + "1001010010")
@@ -96,7 +105,7 @@ class TestStreams:
             stream = no_square_prefix_word(a)
             word, trace = stream.prefix_blocks(800)
             assert trace[:5] == (5, 6, 2, 1, 6)
-            assert has_square_root(word, stream.params)
+            assert parse(word, stream.params).complete and in_language(word, stream.params)
 
     def test_two_periodic_block_counts(self):
         stream = two_periodic_word(1)
@@ -199,6 +208,12 @@ class TestDetectPeriod:
 
     def test_empty(self):
         assert detect_period("", 3) is None
+
+    def test_max_period_past_half_the_word_changes_nothing(self):
+        for n in range(1, 11):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b")
+                assert detect_period(word, n // 2) == detect_period(word, 10**12), word
 
 
 class TestVerification:

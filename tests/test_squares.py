@@ -4,17 +4,9 @@ import tracemalloc
 
 import pytest
 
-from sqword.errors import (
-    EmptyAfterTrimError,
-    EmptyWordError,
-    InvalidParamsError,
-    NoSquareMatchesError,
-    NotInPiError,
-)
+from sqword.errors import EmptyAfterTrimError, InvalidParamsError, NotInPiError
 from sqword.squares import (
     Params,
-    factor_minimal_squares,
-    has_square_root,
     in_language,
     minimal_square_roots,
     minimal_squares,
@@ -26,6 +18,13 @@ from sqword.words import slope
 P10 = Params(1, 0)
 
 SMALL_PARAMS = [Params(a, b) for a in range(1, 7) for b in range(7)]
+
+
+def root_or_none(word, params):
+    try:
+        return square_root(word, params)
+    except NotInPiError:
+        return None
 
 
 class TestRoots:
@@ -256,22 +255,21 @@ class TestLanguage:
 
 class TestFactorization:
     def test_flagship(self):
-        fact = factor_minimal_squares("0101001001010010", P10)
-        assert fact.indices == (2, 1, 6)
-        assert fact.word() == "0101001001010010"
+        fact = parse("0101001001010010", P10)
+        assert fact.complete and fact.indices == (2, 1, 6)
+        assert "".join(minimal_squares(P10)[i - 1] for i in fact.indices) == "0101001001010010"
 
     def test_single_square(self):
-        assert factor_minimal_squares("00", P10).indices == (1,)
-        assert factor_minimal_squares("01000100", Params(2, 0)).indices == (3,)
+        assert parse("00", P10).indices == (1,)
+        assert parse("01000100", Params(2, 0)).indices == (3,)
 
     def test_failure_position(self):
-        with pytest.raises(NoSquareMatchesError) as err:
-            factor_minimal_squares("00100010", P10)
-        assert err.value.position == 2
+        fact = parse("00100010", P10)
+        assert fact.consumed == 2 and not fact.complete
 
     def test_empty(self):
-        with pytest.raises(EmptyWordError):
-            factor_minimal_squares("", P10)
+        fact = parse("", P10)
+        assert (fact.indices, fact.consumed, fact.complete) == ((), 0, True)
 
     def test_roundtrip_random_products(self):
         rng = random.Random(11)
@@ -280,10 +278,11 @@ class TestFactorization:
             for _ in range(50):
                 indices = tuple(rng.randrange(1, 7) for _ in range(rng.randrange(1, 8)))
                 word = "".join(squares[i - 1] for i in indices)
-                assert factor_minimal_squares(word, p).indices == indices
+                fact = parse(word, p)
+                assert fact.complete and fact.indices == indices
 
     def test_json(self):
-        fact = factor_minimal_squares("0101001001010010", P10)
+        fact = parse("0101001001010010", P10)
         assert fact.to_json() == {"a": 1, "b": 0, "indices": [2, 1, 6]}
 
     def test_no_square_is_prefix_of_another(self):
@@ -307,7 +306,7 @@ class TestFactorization:
             ):
                 fact, ref = parse(word, huge), parse(word, capped)
                 assert (fact.indices, fact.consumed) == (ref.indices, ref.consumed)
-                assert (fact.root(), fact.word()) == (ref.root(), ref.word())
+                assert fact.root() == ref.root()
 
     def test_b_window_is_exact(self):
         # The window caps b at n // (a + 1), where s5 already outgrows the
@@ -333,7 +332,6 @@ class TestFactorization:
         fact = parse("00100010", P10)
         assert fact.indices == (1,)
         assert (fact.consumed, fact.complete) == (2, False)
-        assert fact.word() == "00"
         assert fact.root() == "0"
         assert parse("", P10).complete
 
@@ -351,11 +349,11 @@ class TestSquareRoot:
         assert square_root("10100101001001010010", P10) == "1001010010"
 
     def test_membership(self):
-        assert has_square_root("0101001001010010", P10)
-        assert not has_square_root("", P10)
-        assert has_square_root("1010", P10)
-        # factors into squares but leaves the language (a zero run of 3)
-        assert not has_square_root("101000", P10)
+        assert square_root("1010", P10) == "10"
+        # the empty word, and a word that factors into squares but leaves
+        # the language (a zero run of 3)
+        for word in ("", "101000"):
+            assert root_or_none(word, P10) is None
 
     def test_root_halves_length(self):
         for word in ("00", "0101", "0101001001010010"):
@@ -374,28 +372,27 @@ class TestSquareRoot:
             "".join(squares[rng.randrange(6)] for _ in range(rng.randrange(1, 5)))
             for _ in range(60)
         ]
-        pool = [w for w in pool if has_square_root(w, P10)]
+        pool = [w for w in pool if root_or_none(w, P10) is not None]
         hits = 0
         for u in pool:
             for v in pool:
-                if has_square_root(u + v, P10):
+                if root_or_none(u + v, P10) is not None:
                     hits += 1
                     assert square_root(u + v, P10) == square_root(u, P10) + square_root(v, P10)
         assert hits > 10
 
     def test_views_agree_on_short_words(self):
-        # Every view reads the one parse: has_square_root holds exactly when
-        # square_root succeeds, and the trimmed root is the parse's root.
+        # Every view reads the one parse: square_root succeeds exactly on
+        # the nonempty words in the language whose parse is complete, and
+        # the trimmed root is the parse's root.
         for n in range(13):
             for bits in range(1 << n):
                 word = format(bits, f"0{n}b") if n else ""
                 for p in (P10, Params(1, 1), Params(2, 0), Params(2, 1)):
                     fact = parse(word, p)
-                    try:
-                        root = square_root(word, p)
-                    except NotInPiError:
-                        root = None
-                    assert has_square_root(word, p) == (root is not None), (word, p)
+                    root = root_or_none(word, p)
+                    in_domain = bool(word) and fact.complete and in_language(word, p)
+                    assert in_domain == (root is not None), (word, p)
                     if root is not None:
                         assert root == fact.root()
                     if fact.indices:

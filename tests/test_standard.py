@@ -160,6 +160,16 @@ class TestCentral:
                     u = central_word(c, d)
                     assert u == u[::-1], (c, d)
 
+    def test_floor_difference_formula(self):
+        # letter j (1-based) is floor(c(j+1)/d) - floor(cj/d)
+        for d in range(2, 200):
+            for c in range(1, d):
+                if math.gcd(c, d) == 1:
+                    expected = "".join(
+                        "1" if (c * (j + 1)) // d - (c * j) // d else "0" for j in range(1, d - 1)
+                    )
+                    assert central_word(c, d) == expected, (c, d)
+
     def test_extends_to_standard_words(self):
         # u01 and u10 are standard whenever u is central
         for d in range(2, 40):
