@@ -29,18 +29,20 @@ from .standard import (
     central_word,
     directive_of_standard,
     fibonacci_word,
-    reversed_standard_info,
     standard_from_directive,
 )
-from .words import check_binary
+from .words import check_binary, slope
 
 # Caps on request sizes, so that no input can exhaust memory or run for
 # minutes: brute force keeps only O(n) prefixes on its stack but its time
-# grows by about 1.18^n (n = 60 takes 5 to 9 s on a 2-core box), the word 0
-# is a solution for every (a, b) within explicit bounds, and the orbit
-# partition of 10^6 residues peaks at about 130 MB.
+# grows by about 1.18^n (n = 60 takes 5 to 9 s on a 2-core box), the
+# formula walks up to n residues for the order of 2 modulo n (at most about
+# 0.05 s per length up to 10^6, and 70 s for the 10^4 lengths up to 10^6),
+# the word 0 is a solution for every (a, b) within explicit bounds, and the
+# orbit partition of 10^6 residues peaks at about 130 MB.
 _MAX_LENGTH = 10**7
 _MAX_BRUTE_N = 60
+_MAX_COUNT_N = 10**6
 _MAX_RANGE_WIDTH = 10**4
 _MAX_BOUND = 10**3
 _MAX_ORBITS_N = 10**6
@@ -60,12 +62,12 @@ def _read_word(args) -> str:
 
 
 def _word_report(standard: str, directive: tuple[int, ...], reverse: bool) -> dict:
-    info = reversed_standard_info(standard[::-1])
+    ratio = slope(standard)
     return {
-        "word": info.word if reverse else standard,
+        "word": standard[::-1] if reverse else standard,
         "directive": list(directive),
-        "central": info.central,
-        "slope": f"{info.slope.numerator}/{info.slope.denominator}",
+        "central": standard[:-2],
+        "slope": f"{ratio.numerator}/{ratio.denominator}",
     }
 
 
@@ -169,19 +171,24 @@ def _check_brute(n: int) -> None:
         raise DomainError(f"brute force is capped at n = {_MAX_BRUTE_N}, got n = {n}")
 
 
+def _check_count(n: int, brute: bool) -> None:
+    if brute:
+        _check_brute(n)
+    if n > _MAX_COUNT_N:
+        raise DomainError(f"count is capped at n = {_MAX_COUNT_N}, got n = {n}")
+
+
 def _cmd_count(args) -> tuple[object, list[str]]:
     if args.range:
         lo, hi = _parse_range(args.range)
         if hi - lo + 1 > _MAX_RANGE_WIDTH:
             raise DomainError(f"--range is capped at {_MAX_RANGE_WIDTH} lengths, got {lo}..{hi}")
-        if args.brute:
-            _check_brute(hi)
+        _check_count(hi, args.brute)
         reports = [count_solutions(n, brute=args.brute) for n in range(lo, hi + 1)]
         result = [r.to_json() for r in reports]
         lines = [f"{r.n},{r.formula_count}" for r in reports]
         return result, lines
-    if args.brute:
-        _check_brute(args.n)
+    _check_count(args.n, args.brute)
     report = count_solutions(args.n, brute=args.brute)
     return report.to_json(), [f"{report.n},{report.formula_count}"]
 

@@ -5,17 +5,16 @@ words by the recursion::
 
     s(-1) = 1,  s(0) = 0,  s(1) = 0^(d1-1) 1,  s(k) = s(k-1)^dk s(k-2)
 
-Nothing here searches directives.  A word of length d with c ones,
-gcd(c, d) = 1, is reversed standard exactly when it is the central word of
-slope c/d prefixed by 01 or 10.  The directive of a standard word is unique
-and is read off the continued fraction of c/d by Euclid's algorithm; d1 >= 2
-exactly when the word starts with 0.
+This recursion, fed by Euclid's algorithm, is the only construction here;
+nothing searches directives.  A word of length d with c ones, gcd(c, d) = 1,
+has two candidate directives, the two continued-fraction expansions of c/d.
+They generate u01 and u10 with u the central word of slope c/d, and a word
+is standard exactly when it is one of them.  The directive of a standard
+word is therefore unique; d1 >= 2 exactly when the word starts with 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -57,81 +56,62 @@ def fibonacci_word(k: int) -> str:
     return standard_from_directive((2,) + (1,) * (k - 1))
 
 
+def _euclid(c: int, d: int) -> Directive:
+    """The terms (d1, ..., dk) of the continued fraction c/d = [0; d1, ..., dk].
+
+    Euclid's algorithm; dk >= 2 whenever c < d.
+    """
+    terms: list[int] = []
+    while c:
+        q, r = divmod(d, c)
+        terms.append(q)
+        d, c = c, r
+    return tuple(terms)
+
+
 def central_word(c: int, d: int) -> str:
     """The palindromic word of length d - 2 with floor-difference letters.
 
     Letter j (1-based) is ``floor(c(j+1)/d) - floor(cj/d)``.  Requires
-    coprime c, d with 1 <= c < d; the result is empty when d = 2.
+    coprime c, d with 1 <= c < d; the result is empty when d = 2.  It is
+    the standard word of slope c/d without its last two letters.
     """
     if d < 2 or not 1 <= c < d or gcd(c, d) != 1:
         raise InvalidSlopeError(f"need coprime 1 <= c < d with d >= 2, got c={c}, d={d}")
-    return "".join("01"[c * (j + 1) // d - c * j // d] for j in range(1, d - 1))
+    return standard_from_directive(_euclid(c, d))[:-2]
 
 
-@dataclass(frozen=True)
-class StandardWordInfo:
-    """A recognized reversed standard word with its central word and slope."""
+def is_reversed_standard(word: str) -> bool:
+    """True iff *word* is the reversal of a standard word.
 
-    word: str
-    central: str
-    slope: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "word": self.word,
-            "central": self.central,
-            "slope": f"{self.slope.numerator}/{self.slope.denominator}",
-        }
-
-
-def reversed_standard_info(word: str) -> StandardWordInfo | None:
-    """Recognize *word* as a reversed standard word, or return None.
-
-    Single letters are the base words and always accepted.  For length >= 2
-    the slope determines the unique candidate pair {01u, 10u} with u the
-    central word of that slope.
+    Single letters are the base words and always accepted.
     """
     check_binary(word)
     if not word:
         raise EmptyWordError("the empty word is not a standard word")
-    n = len(word)
-    ones = word.count("1")
-    if n == 1:
-        return StandardWordInfo(word=word, central="", slope=Fraction(ones, 1))
-    if ones == 0 or ones == n or gcd(n, ones) != 1:
-        return None
-    u = central_word(ones, n)
-    if word == "01" + u or word == "10" + u:
-        return StandardWordInfo(word=word, central=u, slope=Fraction(ones, n))
-    return None
-
-
-def is_reversed_standard(word: str) -> bool:
-    return reversed_standard_info(word) is not None
+    return _directive(word[::-1]) is not None
 
 
 def _directive(word: str) -> Directive | None:
     """The directive generating the standard word *word*, or None.
 
-    Euclid's algorithm on (ones, length) gives the continued fraction
-    [0; d1, ..., dk] of the slope with dk >= 2; the other standard word of
-    the slope has the other expansion (d1, ..., dk - 1, 1).
+    Euclid's algorithm on (ones, length) gives the expansion (d1, ..., dk)
+    of the slope with dk >= 2.  The other standard word of the slope is
+    that word with its last two letters swapped, generated by the other
+    expansion (d1, ..., dk - 1, 1).
     """
     if word == "0":
         return ()
     d, c = len(word), word.count("1")
     if gcd(c, d) != 1:
         return None
-    terms: list[int] = []
-    while c:
-        q, r = divmod(d, c)
-        terms.append(q)
-        d, c = c, r
-    directive = tuple(terms)
-    if standard_from_directive(directive) == word:
+    directive = _euclid(c, d)
+    standard = standard_from_directive(directive)
+    if standard == word:
         return directive
-    directive = directive[:-1] + (directive[-1] - 1, 1)
-    return directive if standard_from_directive(directive) == word else None
+    if standard[:-2] + standard[:-3:-1] == word:
+        return directive[:-1] + (directive[-1] - 1, 1)
+    return None
 
 
 def directive_of_standard(word: str) -> Directive:

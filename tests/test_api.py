@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "PeriodReport",
     "SquareFactorization",
     "SquareStream",
-    "StandardWordInfo",
     "Verdict",
     "__version__",
     "are_conjugate",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "parse",
     "pattern_excess",
     "primitive_root",
-    "reversed_standard_info",
     "slope",
     "square_prefixes",
     "square_root",

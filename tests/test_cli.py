@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from sqword import __version__
-from sqword.cli import main
+from sqword.cli import _word_report, main
+from sqword.standard import standard_from_directive
+from test_standard import all_directives, central_recognizer, floor_central
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +128,42 @@ class TestGenerateCommands:
             "central": "1",
             "slope": "2/3",
         }
+
+    @pytest.mark.parametrize(
+        "argv,word,directive,central,slope",
+        [
+            (["fibonacci", "--k", "-1"], "1", [1], "", "1/1"),
+            (["fibonacci", "--k", "0"], "0", [], "", "0/1"),
+            (["fibonacci", "--k", "1"], "01", [2], "", "1/2"),
+            (["standard", "--directive", "1"], "1", [1], "", "1/1"),
+            (["standard", "--directive", "1,1"], "10", [1, 1], "", "1/2"),
+            (["standard", "--directive", "2,1,1", "--reversed"], "10010", [2, 1, 1], "010", "2/5"),
+        ],
+    )
+    def test_base_words(self, capsys, argv, word, directive, central, slope):
+        env = run_json(capsys, "gen", *argv)
+        assert env["result"] == {
+            "word": word,
+            "directive": directive,
+            "central": central,
+            "slope": slope,
+        }
+
+    def test_report_agrees_with_central_recognizer(self):
+        # the central word and slope of the per-letter recognizer; single
+        # letters get an empty central word and the slope 0/1 or 1/1
+        for directive in all_directives(200):
+            word = standard_from_directive(directive)
+            assert central_recognizer(word[::-1]), directive
+            n, ones = len(word), word.count("1")
+            ratio = Fraction(ones, n)
+            for reverse in (False, True):
+                assert _word_report(word, directive, reverse) == {
+                    "word": word[::-1] if reverse else word,
+                    "directive": list(directive),
+                    "central": floor_central(ones, n),
+                    "slope": f"{ratio.numerator}/{ratio.denominator}",
+                }, directive
 
 
 class TestSqrtAndCheck:
@@ -258,6 +297,10 @@ class TestCaps:
             ["list", "--n", "80"],
             ["count", "--range", f"1..{10**9}"],
             ["count", "--range", f"1..{10**4 + 1}"],
+            ["count", "--n", str(10**6 + 1)],
+            ["count", "--n", "3000000000021"],
+            ["count", "--range", f"{10**6 - 9}..{10**6 + 1}"],
+            ["count", "--range", f"{10**12}..{10**12}"],
             ["check", "--word", "0", "--a-max", str(10**5), "--b-max", str(10**5)],
             ["check", "--word", "0", "--b-max", str(10**3 + 1)],
             ["classify", "--word", "0", "--a-max", str(10**3 + 1)],
@@ -290,6 +333,10 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     assert seen == [60]
     code, out, err = run_cli(capsys, "--format", "csv", "count", "--range", f"1..{10**4}")
     assert code == 0 and len(out.split()) == 10**4
+    env = run_json(capsys, "count", "--n", str(10**6))
+    assert env["result"]["n"] == 10**6
+    code, out, err = run_cli(capsys, "--format", "csv", "count", "--range", f"{10**6 - 9}..{10**6}")
+    assert code == 0 and len(out.split()) == 10
     bounds = []
     monkeypatch.setattr("sqword.cli.find_params", lambda w, *b: bounds.append(b) or set())
     run_json(capsys, "check", "--word", "0", "--a-max", "1000", "--b-max", "1000")

@@ -16,10 +16,9 @@ from sqword.standard import (
     fibonacci_word,
     is_reversed_standard,
     natural_params,
-    reversed_standard_info,
     standard_from_directive,
 )
-from sqword.words import is_primitive
+from sqword.words import is_primitive, slope
 
 
 def all_directives(max_len):
@@ -48,13 +47,38 @@ def all_directives(max_len):
     return out
 
 
+def floor_central(c, d):
+    """The central word of slope c/d, letter by letter.
+
+    Letter j (1-based) is floor(c(j+1)/d) - floor(cj/d).
+    """
+    return "".join("01"[c * (j + 1) // d - c * j // d] for j in range(1, d - 1))
+
+
+def central_recognizer(word):
+    """Is *word* reversed standard?  By the floor-difference central word.
+
+    The per-letter predecessor of ``is_reversed_standard``, kept as its
+    differential oracle.  Single letters are the base words and always
+    accepted.  A longer word of length d with c ones, gcd(c, d) = 1, must be
+    01u or 10u for the central word u of slope c/d.
+    """
+    n, ones = len(word), word.count("1")
+    if n == 1:
+        return True
+    if ones == 0 or ones == n or math.gcd(n, ones) != 1:
+        return False
+    u = floor_central(ones, n)
+    return word in ("01" + u, "10" + u)
+
+
 def search_directive(word):
     """The directive of a standard word by depth-first search over directives.
 
     The slow predecessor of ``directive_of_standard``, kept as its
     differential oracle: smallest terms first, d1 >= 2 before d1 = 1.
     """
-    if not word or not is_reversed_standard(word[::-1]):
+    if not word or not central_recognizer(word[::-1]):
         return None
     if word == "0":
         return ()
@@ -142,6 +166,10 @@ class TestGeneration:
 class TestCentral:
     def test_flagship(self):
         assert central_word(3, 8) == "010010"
+        # 01010010 is 01 followed by the central word of its slope 3/8
+        assert is_reversed_standard("01010010")
+        assert slope("01010010") == Fraction(3, 8)
+        assert "01010010" == "01" + central_word(3, 8)
 
     def test_small(self):
         assert central_word(1, 2) == ""
@@ -161,14 +189,16 @@ class TestCentral:
                     assert u == u[::-1], (c, d)
 
     def test_floor_difference_formula(self):
-        # letter j (1-based) is floor(c(j+1)/d) - floor(cj/d)
-        for d in range(2, 200):
-            for c in range(1, d):
-                if math.gcd(c, d) == 1:
-                    expected = "".join(
-                        "1" if (c * (j + 1)) // d - (c * j) // d else "0" for j in range(1, d - 1)
-                    )
-                    assert central_word(c, d) == expected, (c, d)
+        # letter j (1-based) is floor(c(j+1)/d) - floor(cj/d); the deep
+        # slopes have long continued fractions (Fibonacci ratios) or one
+        # huge term
+        slopes = [(c, d) for d in range(2, 200) for c in range(1, d) if math.gcd(c, d) == 1]
+        slopes += [(377, 610), (514229, 832040), (1, 100000), (99999, 100000)]
+        for c, d in slopes:
+            expected = "".join(
+                "1" if (c * (j + 1)) // d - (c * j) // d else "0" for j in range(1, d - 1)
+            )
+            assert central_word(c, d) == expected, (c, d)
 
     def test_extends_to_standard_words(self):
         # u01 and u10 are standard whenever u is central
@@ -182,12 +212,6 @@ class TestCentral:
 
 
 class TestRecognition:
-    def test_flagship(self):
-        info = reversed_standard_info("01010010")
-        assert info is not None
-        assert info.central == "010010"
-        assert info.slope == Fraction(3, 8)
-
     def test_single_letters(self):
         assert is_reversed_standard("0")
         assert is_reversed_standard("1")
@@ -228,9 +252,11 @@ class TestRecognition:
             expected = 2 if n == 1 else 2 * phi(n)
             assert len(words) == expected, n
 
-    def test_json(self):
-        info = reversed_standard_info("10010")
-        assert info.to_json() == {"word": "10010", "central": "010", "slope": "2/5"}
+    def test_agrees_with_central_recognizer(self):
+        for n in range(1, 15):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b")
+                assert is_reversed_standard(word) == central_recognizer(word), word
 
 
 class TestDirectiveInversion:
