@@ -6,7 +6,7 @@ import pytest
 from sqword import __version__
 from sqword.cli import _word_report, main
 from sqword.standard import standard_from_directive
-from test_standard import all_directives, central_recognizer, floor_central
+from test_standard import all_directives, central_recognizer
 
 
 def run_cli(capsys, *argv):
@@ -154,14 +154,14 @@ class TestGenerateCommands:
         # letters get an empty central word and the slope 0/1 or 1/1
         for directive in all_directives(200):
             word = standard_from_directive(directive)
-            assert central_recognizer(word[::-1]), directive
-            n, ones = len(word), word.count("1")
-            ratio = Fraction(ones, n)
+            central = central_recognizer(word[::-1])
+            assert central is not None, directive
+            ratio = Fraction(word.count("1"), len(word))
             for reverse in (False, True):
                 assert _word_report(word, directive, reverse) == {
                     "word": word[::-1] if reverse else word,
                     "directive": list(directive),
-                    "central": floor_central(ones, n),
+                    "central": central,
                     "slope": f"{ratio.numerator}/{ratio.denominator}",
                 }, directive
 

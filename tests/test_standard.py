@@ -56,20 +56,21 @@ def floor_central(c, d):
 
 
 def central_recognizer(word):
-    """Is *word* reversed standard?  By the floor-difference central word.
+    """The central word of the reversed standard word *word*, or None.
 
     The per-letter predecessor of ``is_reversed_standard``, kept as its
     differential oracle.  Single letters are the base words and always
-    accepted.  A longer word of length d with c ones, gcd(c, d) = 1, must be
-    01u or 10u for the central word u of slope c/d.
+    accepted, with an empty central word.  A longer word of length d with
+    c ones, gcd(c, d) = 1, must be 01u or 10u for the central word u of
+    slope c/d.
     """
     n, ones = len(word), word.count("1")
     if n == 1:
-        return True
+        return ""
     if ones == 0 or ones == n or math.gcd(n, ones) != 1:
-        return False
+        return None
     u = floor_central(ones, n)
-    return word in ("01" + u, "10" + u)
+    return u if word in ("01" + u, "10" + u) else None
 
 
 def search_directive(word):
@@ -78,7 +79,7 @@ def search_directive(word):
     The slow predecessor of ``directive_of_standard``, kept as its
     differential oracle: smallest terms first, d1 >= 2 before d1 = 1.
     """
-    if not word or not central_recognizer(word[::-1]):
+    if not word or central_recognizer(word[::-1]) is None:
         return None
     if word == "0":
         return ()
@@ -229,14 +230,16 @@ class TestRecognition:
             is_reversed_standard("")
 
     def test_duality_exhaustive(self):
-        # reversals of generated standard words == recognized words, for all
-        # short binary words
+        # reversals of generated standard words == words recognized by
+        # either recognizer, for all short binary words
         generated = {standard_from_directive(d)[::-1] for d in all_directives(14)}
         generated |= {"0", "1"}
         for n in range(1, 15):
             for bits in range(1 << n):
                 word = format(bits, f"0{n}b")
-                assert is_reversed_standard(word) == (word in generated), word
+                expected = word in generated
+                recognized = central_recognizer(word) is not None
+                assert is_reversed_standard(word) == recognized == expected, word
 
     def test_duality_counts_to_length_30(self):
         # two recognized words per admissible slope: totient many slopes
@@ -251,12 +254,6 @@ class TestRecognition:
             assert all(is_reversed_standard(w) for w in words)
             expected = 2 if n == 1 else 2 * phi(n)
             assert len(words) == expected, n
-
-    def test_agrees_with_central_recognizer(self):
-        for n in range(1, 15):
-            for bits in range(1 << n):
-                word = format(bits, f"0{n}b")
-                assert is_reversed_standard(word) == central_recognizer(word), word
 
 
 class TestDirectiveInversion:
