@@ -167,10 +167,6 @@ class TestGeneration:
 class TestCentral:
     def test_flagship(self):
         assert central_word(3, 8) == "010010"
-        # 01010010 is 01 followed by the central word of its slope 3/8
-        assert is_reversed_standard("01010010")
-        assert slope("01010010") == Fraction(3, 8)
-        assert "01010010" == "01" + central_word(3, 8)
 
     def test_small(self):
         assert central_word(1, 2) == ""
@@ -213,6 +209,13 @@ class TestCentral:
 
 
 class TestRecognition:
+    def test_flagship(self):
+        # 01010010 is 01 followed by the central word of its slope 3/8
+        assert is_reversed_standard("01010010")
+        assert central_recognizer("01010010") == "010010"
+        assert slope("01010010") == Fraction(3, 8)
+        assert "01010010" == "01" + central_word(3, 8)
+
     def test_single_letters(self):
         assert is_reversed_standard("0")
         assert is_reversed_standard("1")
