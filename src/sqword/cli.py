@@ -36,10 +36,10 @@ from .words import check_binary, slope
 # Caps on request sizes, so that no input can exhaust memory or run for
 # minutes: brute force keeps only O(n) prefixes on its stack but its time
 # grows by about 1.18^n (n = 60 takes 5 to 9 s on a 2-core box), the
-# formula walks up to n residues for the order of 2 modulo n (at most about
-# 0.05 s per length up to 10^6, and 70 s for the widest range ending there),
-# the word 0 is a solution for every (a, b) within explicit bounds, and the
-# orbit partition of 10^6 residues peaks at about 130 MB.
+# formula factors n, its divisors and their totients by trial division (the
+# widest range ending at 10^6 takes about 4 s on that box), the word 0 is a
+# solution for every (a, b) within explicit bounds, and the orbit partition
+# of 10^6 residues peaks at about 130 MB.
 _MAX_LENGTH = 10**7
 _MAX_BRUTE_N = 60
 _MAX_COUNT_N = 10**6

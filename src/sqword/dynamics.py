@@ -22,6 +22,7 @@ from .errors import (
 )
 from .squares import (
     Params,
+    _join_roots,
     _parse,
     in_language,
     minimal_square_roots,
@@ -116,23 +117,26 @@ def fixed_point_solutions(block: str, c: int = 1) -> Iterator[str]:
 def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
     """The fixed point with prefixes Z0, Z2, Z4, ... as a block stream.
 
-    Square factorizations of nested solution squares are consistent, so the
-    stream re-factors the growing even-chain prefixes and emits each block
-    exactly once.
+    Each square Z2k Z2k is a prefix of the next, Z(2k+2) Z(2k+2), and a
+    complete parse ends on a block boundary, so the parse resumes where the
+    previous square ended: every letter of the chain squares is scanned once
+    and every block is emitted exactly once.
     """
     params = _chain_params(block, c)
 
     def gen() -> Iterator[int]:
         # a fresh chain per call: prefix_blocks asks for a new iterator each time
-        emitted = 0
+        pos = 0
         for word in islice(_chain(block, c), 0, None, 2):
-            fact = _parse(word + word, params)
+            # (word + word)[pos:] without the doubled word: pos <= len(word),
+            # since the even chain grows (2c + 1)^2-fold
+            fact = _parse(word[pos:] + word, params)
             if not fact.complete:
                 raise NotInPiError(
-                    f"fixed-point prefix failed to factor at position {fact.consumed}"
+                    f"fixed-point prefix failed to factor at position {pos + fact.consumed}"
                 )
-            yield from fact.indices[emitted:]
-            emitted = len(fact.indices)
+            yield from fact.indices
+            pos = 2 * len(word)
 
     return SquareStream(params, gen, f"square-root fixed point over {block}")
 
@@ -267,16 +271,23 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
     ``iterations`` times (trimming to complete squares between iterations),
     and compares against the stream's own prefix.  A prefix that fails the
     factor-language check signals a construction bug and raises.
+
+    The first root is read off the emitted blocks instead of a parse: the
+    prefix is the product of their squares, and no minimal square is a
+    prefix of another, so the greedy parse of the prefix is the block
+    sequence itself.  Only the later iterations parse.
     """
     if target_len < 1 or iterations < 1:
         raise DomainError("target length and iteration count must be >= 1")
-    word = stream.prefix(target_len)
+    word, trace = stream.prefix_blocks(target_len)
     if not in_language(word, stream.params):
         raise NotInPiError(
             f"stream {stream.description!r} emitted a prefix outside its language"
         )
-    current = word
-    for _ in range(iterations):
+    current = _join_roots(trace, stream.params, len(word))
+    # one entry per block: let it go before the later parses build their own
+    del trace
+    for _ in range(iterations - 1):
         current = _parse(current, stream.params).root()
         if not current:
             raise EmptyAfterTrimError(

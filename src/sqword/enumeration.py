@@ -73,15 +73,17 @@ def divisors(n: int) -> list[int]:
 
 
 def order_of_two(d: int) -> int:
-    """Least e >= 1 with 2^e = 1 mod d, for odd d (1 for d = 1)."""
+    """Least e >= 1 with 2^e = 1 mod d, for odd d (1 for d = 1).
+
+    The order divides phi(d), so starting from phi(d) it drops each prime
+    factor p for as long as 2^(e/p) is still 1 mod d.
+    """
     if d < 1 or d % 2 == 0:
         raise NotCoprimeError(f"order of 2 needs an odd modulus, got {d}")
-    if d == 1:
-        return 1
-    e, x = 1, 2 % d
-    while x != 1:
-        x = 2 * x % d
-        e += 1
+    e = euler_phi(d)
+    for p in _factorize(e):
+        while e % p == 0 and pow(2, e // p, d) == 1:
+            e //= p
     return e
 
 

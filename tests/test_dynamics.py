@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import sqword.dynamics
 from sqword.dynamics import (
     PeriodReport,
     SquareStream,
@@ -22,10 +23,57 @@ from sqword.errors import (
 )
 from sqword.solutions import classify, is_solution, Verdict
 from sqword.squares import Params, in_language, minimal_square_roots, parse, square_root
+from sqword.standard import natural_params, standard_from_directive
 from sqword.words import are_conjugate, exchange_first_two
 
 P10 = Params(1, 0)
 BLOCK = "01010010"
+# reversed standard blocks of 84..91 letters with a = 1, 2, 3, the sizes the
+# stream benchmark draws
+LONG_BLOCKS = tuple(
+    standard_from_directive(d)[::-1] for d in ((2, 4, 2, 4), (3, 1, 3, 1, 4), (4, 4, 4, 1))
+)
+
+
+def reparse_stream(block: str, c: int) -> SquareStream:
+    """The re-parsing oracle for ``fixed_point_stream``: factor every even
+    chain square Z2k Z2k from its start and emit the blocks not yet emitted."""
+    params = natural_params(block)
+
+    def gen():
+        emitted = 0
+        for word in itertools.islice(fixed_point_solutions(block, c), 0, None, 2):
+            fact = parse(word + word, params)
+            if not fact.complete:
+                raise NotInPiError(f"fixed-point prefix failed to factor at position {fact.consumed}")
+            yield from fact.indices[emitted:]
+            emitted = len(fact.indices)
+
+    return SquareStream(params, gen, f"re-parsed fixed point over {block}")
+
+
+def verify_by_parsing(stream: SquareStream, target_len: int, iterations: int = 1) -> bool:
+    """The two-parse oracle for ``verify_fixed_point``: every iteration,
+    the first included, parses its word."""
+    word = stream.prefix(target_len)
+    if not in_language(word, stream.params):
+        raise NotInPiError("prefix outside the language")
+    current = word
+    for _ in range(iterations):
+        current = parse(current, stream.params).root()
+        if not current:
+            raise EmptyAfterTrimError("root vanished after trimming")
+    return current == word[: len(current)]
+
+
+def _streams():
+    # every stream kind the package builds, over a few blocks and parameters
+    for block in (BLOCK, *LONG_BLOCKS):
+        for c in (1, 2):
+            yield fixed_point_stream(block, c)
+    for a in (1, 2, 3):
+        yield no_square_prefix_word(a)
+        yield two_periodic_word(a)
 
 
 class TestSolutionChain:
@@ -131,6 +179,45 @@ class TestStreams:
         stream = SquareStream(P10, lambda: iter([1, index, 1]), "bad")
         with pytest.raises(DomainError, match="block index"):
             stream.prefix(5)
+
+
+class TestResumedParse:
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("block", (BLOCK, *LONG_BLOCKS), ids=("flagship", "a1", "a2", "a3"))
+    def test_blocks_equal_reparsing_oracle(self, block, c):
+        stream = fixed_point_stream(block, c)
+        assert stream.prefix_blocks(10**5) == reparse_stream(block, c).prefix_blocks(10**5)
+
+    def test_stuck_position_is_absolute(self, monkeypatch):
+        # Z2 with letter 40 flipped: the parse resumes at 16 = |Z0 Z0| and
+        # sticks 22 letters later, at position 38 of the square
+        z0, z1, z2 = itertools.islice(fixed_point_solutions(BLOCK, 1), 3)
+        bad = z2[:40] + ("1" if z2[40] == "0" else "0") + z2[41:]
+        assert parse(bad + bad, P10).consumed == 38
+        monkeypatch.setattr(sqword.dynamics, "_chain", lambda block, c: iter([z0, z1, bad]))
+        with pytest.raises(NotInPiError, match=r"at position 38$"):
+            fixed_point_stream(BLOCK, 1).prefix(100)
+
+    @pytest.mark.parametrize("n", [1, 17, 1000, 10**4])
+    def test_greedy_parse_of_a_prefix_is_its_trace(self, n):
+        # the claim verify_fixed_point reads its first root from
+        for stream in _streams():
+            word, trace = stream.prefix_blocks(n)
+            fact = parse(word, stream.params)
+            assert fact.complete and fact.indices == trace, stream.description
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_verify_equals_two_parse_oracle(self, iterations):
+        def outcome(verify, stream, n):
+            try:
+                return verify(stream, n, iterations)
+            except EmptyAfterTrimError:
+                return EmptyAfterTrimError
+
+        for stream in _streams():
+            for n in (1, 50, 3000):
+                got = outcome(verify_fixed_point, stream, n)
+                assert got == outcome(verify_by_parsing, stream, n), (stream.description, n)
 
 
 class TestSquareRootPrefix:

@@ -63,6 +63,17 @@ def generate_and_test(n, a_cap=None, b_cap=None):
     return [w for w in _candidate_words(n) if has_params(w, a_cap, b_cap)]
 
 
+def order_walk(d: int) -> int:
+    """The residue-walk oracle for ``order_of_two``: double until back at 1."""
+    if d == 1:
+        return 1
+    e, x = 1, 2 % d
+    while x != 1:
+        x = 2 * x % d
+        e += 1
+    return e
+
+
 class TestArithmetic:
     def test_phi_small(self):
         assert euler_phi(8) == 4
@@ -93,6 +104,10 @@ class TestArithmetic:
         assert order_of_two(7) == 3
         assert order_of_two(1) == 1
         assert [order_of_two(2 * n + 1) for n in range(20)] == A002326
+
+    def test_order_equals_residue_walk(self):
+        for d in itertools.chain(range(1, 20000, 2), (1000003, 1999993)):
+            assert order_of_two(d) == order_walk(d), d
 
     def test_order_divides_phi(self):
         for d in range(1, 400, 2):
