@@ -125,8 +125,11 @@ def _cmd_sqrt(args) -> tuple[dict, list[str]]:
 
 
 def _check_bounds(args) -> None:
-    for flag, bound in (("--a-max", args.a_max), ("--b-max", args.b_max)):
+    # the parameter bounds of check and classify, and the caps of list
+    for name in ("a_max", "b_max", "a_cap", "b_cap"):
+        bound = getattr(args, name, None)
         if bound is not None and bound > _MAX_BOUND:
+            flag = "--" + name.replace("_", "-")
             raise DomainError(f"{flag} is capped at {_MAX_BOUND}, got {bound}")
 
 
@@ -195,6 +198,7 @@ def _cmd_count(args) -> tuple[object, list[str]]:
 
 def _cmd_list(args) -> tuple[dict, list[str]]:
     _check_brute(args.n)
+    _check_bounds(args)
     found = brute_force_solutions(args.n, args.a_cap, args.b_cap)
     result = {"n": args.n, "count": len(found), "solutions": found}
     return result, found
@@ -222,14 +226,25 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
     if args.kind == "sl":
         if not args.word:
             raise DomainError("kind 'sl' needs --word with a reversed standard block")
-        stream = fixed_point_stream(check_binary(args.word), args.c)
-        if args.a is not None and args.a != stream.params.a:
-            raise DomainError(
-                f"--a {args.a} conflicts with the block's natural value {stream.params.a}"
-            )
+        block = check_binary(args.word)
+        # |Z(j+1)| = (2c + 1) |Zj|, and the stream builds whole the even chain
+        # word whose square covers the length: cap it before it is built
+        chain_len = len(block)
+        while args.c >= 1 and 2 * chain_len < args.length:
+            chain_len *= (2 * args.c + 1) ** 2
+            if chain_len > 4 * _MAX_LENGTH:
+                raise DomainError(f"chain words are capped at {4 * _MAX_LENGTH}, got {chain_len}")
+        stream = fixed_point_stream(block, args.c)
+        for name in ("a", "b"):
+            value, fixed = getattr(args, name), getattr(stream.params, name)
+            if value is not None and value != fixed:
+                raise DomainError(f"--{name} {value} conflicts with the block's natural value {fixed}")
     else:
         if args.a is None:
             raise DomainError(f"kind {args.kind!r} needs --a")
+        if 4 * args.a + 6 > _MAX_LENGTH:
+            # the sixth square at b = 0 has 4a + 6 letters
+            raise DomainError(f"--a is capped at {(_MAX_LENGTH - 6) // 4}, got {args.a}")
         if args.b not in (None, 0):
             raise DomainError(f"kind {args.kind!r} is defined for b = 0 only")
         maker = no_square_prefix_word if args.kind == "nosquare" else two_periodic_word

@@ -47,9 +47,6 @@ class SquareStream:
     block_factory: BlockFactory
     description: str
 
-    def blocks(self) -> Iterator[int]:
-        return self.block_factory()
-
     def prefix_blocks(self, min_len: int) -> tuple[str, tuple[int, ...]]:
         """Materialize whole blocks until at least *min_len* letters."""
         if min_len < 1:
@@ -58,7 +55,7 @@ class SquareStream:
         parts: list[str] = []
         trace: list[int] = []
         total = 0
-        for idx in self.blocks():
+        for idx in self.block_factory():
             try:
                 square = squares[idx]
             except KeyError:
@@ -296,28 +293,20 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
     return current == word[: len(current)]
 
 
-def find_periodic_shift(
-    stream: SquareStream,
-    block: str,
-    max_offset: int | None = None,
-    min_root_len: int | None = None,
-) -> tuple[int, PeriodReport] | None:
+def find_periodic_shift(stream: SquareStream, block: str) -> tuple[int, PeriodReport] | None:
     """Search for a shift of the stream whose square root is purely periodic.
 
-    Offsets 0..max_offset (default: block length squared) are tried in
-    order; an offset qualifies when the trimmed root of the shifted prefix
-    reaches *min_root_len* (default: twenty block lengths) and is purely
-    periodic with minimum period a rotation of *block*.  Returns None when
-    no offset in the window qualifies.
+    The window is fixed by the block length: offsets 0 to its square are
+    tried in order, and an offset qualifies when the trimmed root of the
+    shifted prefix reaches twenty block lengths and is purely periodic with
+    minimum period a rotation of *block*.  Returns None when no offset in
+    the window qualifies.
     """
     check_binary(block)
     if not block:
         raise EmptyWordError("need a nonempty reference block")
     length = len(block)
-    if max_offset is None:
-        max_offset = length * length
-    if min_root_len is None:
-        min_root_len = 20 * length
+    max_offset, min_root_len = length * length, 20 * length
     need = max_offset + 2 * min_root_len + 4 * length + 8
     word = stream.prefix(need)
     for offset in range(max_offset + 1):

@@ -134,12 +134,7 @@ class CountReport:
         }
 
 
-def count_solutions(
-    n: int,
-    brute: bool = False,
-    a_cap: int | None = None,
-    b_cap: int | None = None,
-) -> CountReport:
+def count_solutions(n: int, brute: bool = False) -> CountReport:
     """Count solutions of length n by the closed formula.
 
     With ``brute`` the report also carries the brute-force oracle's count;
@@ -149,7 +144,7 @@ def count_solutions(
         raise DomainError("count_solutions needs n >= 1")
     per = {d: pattern_excess(n, d) for d in divisors(n) if d > 2}
     formula = n // 2 + 1 + sum(per.values())
-    brute_count = len(brute_force_solutions(n, a_cap, b_cap)) if brute else None
+    brute_count = len(brute_force_solutions(n)) if brute else None
     return CountReport(n=n, formula_count=formula, brute_count=brute_count, per_divisor=per)
 
 

@@ -65,11 +65,15 @@ def _check_pattern(pattern: str) -> str:
 
 
 def is_pattern_word(pattern: str) -> bool:
-    """True iff the {S, L}-word is constant on every doubling orbit."""
+    """True iff the {S, L}-word is constant on every doubling orbit.
+
+    The orbits are the weakly connected components of the edges
+    i -> 2i mod n, so the word is constant on them exactly when it agrees
+    along every edge.
+    """
     _check_pattern(pattern)
-    return all(
-        len({pattern[i] for i in orbit}) == 1 for orbit in doubling_orbits(len(pattern))
-    )
+    n = len(pattern)
+    return all(pattern[i] == pattern[2 * i % n] for i in range(n))
 
 
 def substitute_pattern(pattern: str, block: str) -> str:

@@ -10,12 +10,11 @@ For parameters ``a >= 1``, ``b >= 0`` the minimal square roots are::
     s6 = 1 0^(a+1) (1 0^a)^(b+1)
 
 The factor language consists of all factors of infinite concatenations of
-``s5`` and ``s6`` (optionally preceded by runs of ``0`` and ``1 0^a``).
-These two roots are the images of ``1 0^b`` and ``1 0^(b+1)`` under the
-substitution ``1 -> 1 0^(a+1)``, ``0 -> 1 0^a``, so a word lies in the
-language exactly when it desubstitutes twice, first by a and then by b.  A
-word has a square root when it lies in that language and splits, greedily
-and uniquely, into squares of the six roots.
+``s5`` and ``s6``.  These two roots are the images of ``1 0^b`` and
+``1 0^(b+1)`` under the substitution ``1 -> 1 0^(a+1)``, ``0 -> 1 0^a``, so
+a word lies in the language exactly when it desubstitutes twice, first by a
+and then by b.  A word has a square root when it lies in that language and
+splits, greedily and uniquely, into squares of the six roots.
 """
 
 from __future__ import annotations
@@ -89,23 +88,22 @@ def minimal_squares(params: Params) -> tuple[str, str, str, str, str, str]:
 _KINDS = str.maketrans("LS", "10")
 
 
-def _derive(word: str, k: int, free_head: bool) -> str | None:
+def _derive(word: str, k: int) -> str | None:
     # Undo 1 -> 1 0^(k+1), 0 -> 1 0^k on a factor of an image: the preimage
     # letters the factor pins down, or None if it is no such factor.  The
     # head zeros end a block and the tail 1 0^t starts one; either is a
-    # whole long block only with k + 1 zeros.  With free_head the head may
-    # be a zero run of any length and pins nothing.  Blocks longer than the
-    # word cannot occur in it, so capping k at its length changes nothing.
+    # whole long block only with k + 1 zeros.  Blocks longer than the word
+    # cannot occur in it, so capping k at its length changes nothing.
     k = min(k, len(word))
     core = word.lstrip("0")
     body = core.rstrip("0")
     head, tail = len(word) - len(core), len(core) - len(body)
-    if tail > k + 1 or (head > k + 1 and not free_head):
+    if tail > k + 1 or head > k + 1:
         return None
     kinds = body[:-1].replace("1" + "0" * (k + 1), "L").replace("1" + "0" * k, "S")
     if "0" in kinds or "1" in kinds:
         return None
-    if head == k + 1 and not free_head:
+    if head == k + 1:
         kinds = "L" + kinds
     if tail == k + 1:
         kinds += "L"
@@ -113,9 +111,9 @@ def _derive(word: str, k: int, free_head: bool) -> str | None:
 
 
 def _levels(word: str, low: int, high: int) -> range:
-    # The k in low..high that _derive(word, k, False) may accept: the edge
-    # zero runs are at most k + 1, and the first zero run between two 1s is
-    # k or k + 1.  _derive decides each k left.
+    # The k in low..high that _derive(word, k) may accept: the edge zero
+    # runs are at most k + 1, and the first zero run between two 1s is k or
+    # k + 1.  _derive decides each k left.
     first = word.find("1")
     second = word.find("1", first + 1)
     low = max(low, first - 1, len(word) - 2 - word.rfind("1"))
@@ -129,26 +127,23 @@ def _language_params(word: str, a_max: int, b_max: int) -> Iterator[Params]:
     # Every Params(a, b) with a <= a_max and b <= b_max whose factor language
     # holds *word*, in increasing order.
     for a in _levels(word, 1, a_max):
-        kinds = _derive(word, a, False)
+        kinds = _derive(word, a)
         if kinds is not None:
             for b in _levels(kinds, 0, b_max):
-                if _derive(kinds, b, False) is not None:
+                if _derive(kinds, b) is not None:
                     yield Params(a, b)
 
 
-def in_language(word: str, params: Params, allow_initial_runs: bool = False) -> bool:
+def in_language(word: str, params: Params) -> bool:
     """Membership of *word* in the squareful factor language.
 
     ``s5`` and ``s6`` are the images of ``1 0^b`` and ``1 0^(b+1)`` under
     ``1 -> 1 0^(a+1)``, ``0 -> 1 0^a``, so a word is in the language exactly
-    when it desubstitutes twice, first by a and then by b.  With
-    ``allow_initial_runs`` the language additionally admits the
-    ``0^* (1 0^a)^*`` preamble that general squareful words may start with;
-    it leaves the zeros ahead of the first ``1`` unbounded at both levels.
+    when it desubstitutes twice, first by a and then by b.
     """
     check_binary(word)
-    kinds = _derive(word, params.a, allow_initial_runs)
-    return kinds is not None and _derive(kinds, params.b, allow_initial_runs) is not None
+    kinds = _derive(word, params.a)
+    return kinds is not None and _derive(kinds, params.b) is not None
 
 
 def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
@@ -196,9 +191,6 @@ class SquareFactorization:
     def root(self) -> str:
         """The square root of the factored prefix: every square halved."""
         return _join_roots(self.indices, self.params, self.consumed)
-
-    def to_json(self) -> dict:
-        return {"a": self.params.a, "b": self.params.b, "indices": list(self.indices)}
 
 
 def _parse(word: str, params: Params) -> SquareFactorization:

@@ -5,6 +5,7 @@ import pytest
 
 from sqword import __version__
 from sqword.cli import _word_report, main
+from sqword.dynamics import SquareStream, fixed_point_stream, no_square_prefix_word
 from sqword.standard import standard_from_directive
 from test_standard import all_directives, central_recognizer
 
@@ -291,10 +292,19 @@ class TestCaps:
         [
             ["fixedpoint", "--kind", "sl", "--word", "01010010", "--length", str(10**12)],
             ["fixedpoint", "--kind", "nosquare", "--a", "1", "--length", str(10**7 + 1)],
+            # the chain word covering 17 letters has 8 * 2237^2 > 4 * 10^7 letters
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", "1118", "--length", "17"],
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(10**9), "--length", "17"],
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", "2", "--length", str(10**7)],
+            # the sixth square at b = 0 has 4a + 6 letters
+            ["fixedpoint", "--kind", "nosquare", "--a", "2499999", "--length", "10"],
+            ["fixedpoint", "--kind", "biperiodic", "--a", str(10**7), "--length", "10"],
             ["count", "--n", "61", "--brute"],
             ["count", "--n", "80", "--brute"],
             ["count", "--range", "52..61", "--brute"],
             ["list", "--n", "80"],
+            ["list", "--n", "5", "--b-cap", str(10**6)],
+            ["list", "--n", "5", "--a-cap", str(10**3 + 1)],
             ["count", "--range", f"1..{10**9}"],
             ["count", "--range", f"1..{10**4 + 1}"],
             ["count", "--n", str(10**6 + 1)],
@@ -326,11 +336,48 @@ class TestCaps:
         assert "Traceback" not in err
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a refused request built a prefix")
+
+
+@pytest.mark.parametrize("flag, natural", [("--a", 1), ("--b", 0)])
+def test_fixedpoint_conflicting_param_is_rejected(capsys, monkeypatch, flag, natural):
+    # the block 01010010 has the natural parameters (1, 0)
+    code, out, err = run_cli(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
+                             "--a", "1", "--b", "0", "--length", "17")
+    assert (code, json.loads(out)["result"]["b"]) == (0, 0)
+    monkeypatch.setattr(SquareStream, "prefix_blocks", refuse)
+    code, out, err = run_cli(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
+                             flag, "5", "--length", "17")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} 5 conflicts with the block's natural value {natural}\n"
+
+
 def test_caps_admit_their_limits(capsys, monkeypatch):
     seen = []
-    monkeypatch.setattr("sqword.cli.brute_force_solutions", lambda n, *caps: seen.append(n) or [])
+    monkeypatch.setattr("sqword.cli.brute_force_solutions", lambda *args: seen.append(args) or [])
     run_json(capsys, "list", "--n", "60")
-    assert seen == [60]
+    run_json(capsys, "list", "--n", "5", "--a-cap", "1000", "--b-cap", "1000")
+    assert seen == [(60, None, None), (5, 1000, 1000)]
+    # the largest chain words within 4 * 10^7 letters: 8 * 2235^2 at c = 1117
+    # and 8 * 9^7 = 38,263,752 at c = 1; the streams run at c = 1 with a stub prefix
+    chains = []
+    monkeypatch.setattr(
+        "sqword.cli.fixed_point_stream", lambda w, c: chains.append(c) or fixed_point_stream(w, 1)
+    )
+    monkeypatch.setattr(
+        SquareStream, "prefix_blocks", lambda self, n: chains.append(n) or ("00", (1,))
+    )
+    for c, length in (("1117", "17"), ("1", str(10**7)), ("2", str(10**5))):
+        run_json(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
+                 "--c", c, "--length", length)
+    assert chains == [1117, 17, 1, 10**7, 2, 10**5]
+    makers = []
+    monkeypatch.setattr(
+        "sqword.cli.no_square_prefix_word", lambda a: makers.append(a) or no_square_prefix_word(1)
+    )
+    run_json(capsys, "fixedpoint", "--kind", "nosquare", "--a", "2499998", "--length", "10")
+    assert makers == [2499998]
     code, out, err = run_cli(capsys, "--format", "csv", "count", "--range", f"1..{10**4}")
     assert code == 0 and len(out.split()) == 10**4
     env = run_json(capsys, "count", "--n", str(10**6))

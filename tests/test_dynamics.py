@@ -158,7 +158,7 @@ class TestStreams:
     def test_two_periodic_block_counts(self):
         stream = two_periodic_word(1)
         trace = []
-        for idx in stream.blocks():
+        for idx in stream.block_factory():
             trace.append(idx)
             if len(trace) >= 2 + 4 + 14 + 56:
                 break

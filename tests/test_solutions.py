@@ -63,7 +63,18 @@ class TestDoublingOrbits:
                 assert lookup[2 * i % n] is lookup[i]
 
 
+def orbit_pattern_word(pattern):
+    """The orbit-partition test that ``is_pattern_word`` replaced."""
+    return all(len({pattern[i] for i in orbit}) == 1 for orbit in doubling_orbits(len(pattern)))
+
+
 class TestPatternWords:
+    def test_edges_agree_with_orbits(self):
+        for n in range(1, 15):
+            for bits in range(1 << n):
+                pattern = format(bits, f"0{n}b").translate(str.maketrans("01", "SL"))
+                assert is_pattern_word(pattern) == orbit_pattern_word(pattern), pattern
+
     def test_examples(self):
         assert is_pattern_word("LSS")
         assert is_pattern_word("SLLSLSS")

@@ -83,27 +83,20 @@ def language_words(p, max_blocks):
     return words
 
 
-def nfa_in_language(word, p, runs=False):
+def nfa_in_language(word, p):
     """The block automaton over (block, offset) states that ``in_language``
     replaced; b is used as given, never capped to the word's length."""
     if not word:
         return True
-    five, six = minimal_square_roots(p)[4], minimal_square_roots(p)[5]
-    four = "1" + "0" * p.a
-    text = {0: five, 1: six, -2: four, -1: "0"}
-    core = ((0, 0), (1, 0))
-    follow = {0: core, 1: core, -2: ((-2, 0),) + core, -1: ((-1, 0), (-2, 0)) + core}
+    text = minimal_square_roots(p)[4:]
     states = {(b, o) for b in (0, 1) for o in range(len(text[b]))}
-    if runs:
-        states.add((-1, 0))
-        states.update((-2, o) for o in range(len(four)))
     for ch in word:
         nxt = set()
         for bid, off in states:
             if text[bid][off] != ch:
                 continue
             if off + 1 == len(text[bid]):
-                nxt.update(follow[bid])
+                nxt.update(((0, 0), (1, 0)))
             else:
                 nxt.add((bid, off + 1))
         if not nxt:
@@ -125,13 +118,10 @@ def peak_bytes(fn):
 NFA_PARAMS = [Params(a, b) for a in (1, 2, 3) for b in (0, 1, 2)]
 
 
-def product_word(p, rng, length, preamble=False):
-    """A random product of s5 and s6 of at least *length* letters, behind a
-    random ``0^i (1 0^a)^j`` preamble if asked."""
+def product_word(p, rng, length):
+    """A random product of s5 and s6 of at least *length* letters."""
     five, six = minimal_square_roots(p)[4], minimal_square_roots(p)[5]
     parts = []
-    if preamble:
-        parts = ["0" * rng.randrange(6), ("1" + "0" * p.a) * rng.randrange(4)]
     total = 0
     while total < length:
         parts.append(rng.choice((five, six)))
@@ -145,20 +135,13 @@ class TestLanguage:
 
     def test_empty(self):
         assert in_language("", P10)
-        assert in_language("", Params(4, 4), allow_initial_runs=True)
+        assert in_language("", Params(4, 4))
 
     def test_zero_run_bound(self):
         assert not in_language("0101", Params(2, 0))
         assert in_language("00", P10)
         assert not in_language("000", P10)
         assert in_language("000", Params(2, 0))
-
-    def test_initial_runs_mode(self):
-        assert not in_language("0000", P10)
-        assert in_language("0000", P10, allow_initial_runs=True)
-        assert in_language("0000" + "10" * 3 + "100" + "10010", P10, allow_initial_runs=True)
-        # the preamble cannot reappear after the long blocks start
-        assert not in_language("10010" + "0000", P10, allow_initial_runs=True)
 
     def test_factors_of_generated_words(self):
         # every factor of a language word is in the language
@@ -173,7 +156,6 @@ class TestLanguage:
     def test_eleven_never_occurs(self):
         for p in (P10, Params(2, 3)):
             assert not in_language("11", p)
-            assert not in_language("11", p, allow_initial_runs=True)
 
     def test_run_too_long_rejected(self):
         for p in (P10, Params(2, 0)):
@@ -194,9 +176,6 @@ class TestLanguage:
                 word = format(bits, f"0{n}b") if n else ""
                 for p in (Params(1, 9), Params(2, 17), Params(1, 30)):
                     assert in_language(word, p) == nfa_in_language(word, p), (word, p)
-                    assert in_language(word, p, allow_initial_runs=True) == nfa_in_language(
-                        word, p, runs=True
-                    ), (word, p)
 
     def test_all_short_words_against_nfa(self):
         # Small a and b: the gap counts between long runs decide membership.
@@ -204,27 +183,22 @@ class TestLanguage:
             for bits in range(1 << n):
                 word = format(bits, f"0{n}b") if n else ""
                 for p in NFA_PARAMS:
-                    for runs in (False, True):
-                        assert in_language(word, p, runs) == nfa_in_language(
-                            word, p, runs
-                        ), (word, p, runs)
+                    assert in_language(word, p) == nfa_in_language(word, p), (word, p)
 
     def test_random_factors_against_nfa(self):
-        # Factors of up to 600 letters of s5/s6 products, half of them behind
-        # a preamble and half of those from its start, with up to two letters
-        # flipped.
+        # Factors of up to 600 letters of s5/s6 products, half of them from
+        # near the start, with up to two letters flipped.
         rng = random.Random(5)
         for trial in range(200):
             p = Params(rng.randrange(1, 4), rng.randrange(4))
-            runs = trial % 2 == 1
-            text = product_word(p, rng, 10**4, preamble=runs)
+            text = product_word(p, rng, 10**4)
             i = rng.randrange(len(text)) if trial % 4 < 2 else rng.randrange(20)
             letters = list(text[i : i + int(600 ** rng.random())])
             for _ in range(rng.randrange(3)):
                 j = rng.randrange(len(letters))
                 letters[j] = "1" if letters[j] == "0" else "0"
             word = "".join(letters)
-            assert in_language(word, p, runs) == nfa_in_language(word, p, runs), (word, p, runs)
+            assert in_language(word, p) == nfa_in_language(word, p), (word, p)
 
     def test_huge_b_is_capped_exactly(self):
         # b = 10**9 must answer as any b beyond the word's length does; the
@@ -236,19 +210,15 @@ class TestLanguage:
         words += [product_word(Params(a, 0), rng, 40)[:40] for a in (1, 2) for _ in range(20)]
         for word in words:
             for a in (1, 2, 3):
-                for runs in (False, True):
-                    huge = in_language(word, Params(a, 10**9), runs)
-                    assert huge == nfa_in_language(word, Params(a, len(word) + 5), runs), (
-                        word, a, runs,
-                    )
+                huge = in_language(word, Params(a, 10**9))
+                assert huge == nfa_in_language(word, Params(a, len(word) + 5)), (word, a)
 
     def test_huge_params_stay_small(self):
         words = ["0101", "0101001001010010", "1" + "0" * 50, "10" * 40]
 
         def run():
             for word in words:
-                for runs in (False, True):
-                    in_language(word, Params(10**7, 10**7), runs)
+                in_language(word, Params(10**7, 10**7))
 
         assert peak_bytes(run) < 1 << 20
 
@@ -280,10 +250,6 @@ class TestFactorization:
                 word = "".join(squares[i - 1] for i in indices)
                 fact = parse(word, p)
                 assert fact.complete and fact.indices == indices
-
-    def test_json(self):
-        fact = parse("0101001001010010", P10)
-        assert fact.to_json() == {"a": 1, "b": 0, "indices": [2, 1, 6]}
 
     def test_no_square_is_prefix_of_another(self):
         # scan_minimal_squares relies on at most one square matching.
