@@ -2,8 +2,9 @@
 
 Every command prints a JSON envelope {"command", "inputs", "result",
 "version"} by default; ``--format csv`` produces plain ``n,count`` rows for
-counting and ``--format text`` a minimal human-readable form.  Exit codes:
-0 success, 1 domain errors, 2 usage errors.
+counting and ``--format text`` a minimal human-readable form.  ``--format``
+may come before or after the command; when both are given the later one
+wins.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dynamics import (
 )
 from .enumeration import brute_force_solutions, count_solutions
 from .errors import DomainError
-from .solutions import _bounds, classify, doubling_orbits, find_params, is_solution
+from .solutions import _bounds, classify, doubling_orbits, find_params, has_params, is_solution
 from .squares import Params, square_root
 from .standard import (
     central_word,
@@ -39,7 +40,7 @@ from .words import check_binary, slope
 # formula factors n, its divisors and their totients by trial division (the
 # widest range ending at 10^6 takes about 4 s on that box), the word 0 is a
 # solution for every (a, b) within explicit bounds, and the orbit partition
-# of 10^6 residues peaks at about 130 MB.
+# of 10^6 residues peaks at about 122 MB.
 _MAX_LENGTH = 10**7
 _MAX_BRUTE_N = 60
 _MAX_COUNT_N = 10**6
@@ -49,14 +50,14 @@ _MAX_ORBITS_N = 10**6
 
 
 def _read_word(args) -> str:
-    if getattr(args, "word_file", None):
+    if args.word_file:
         try:
             with open(args.word_file, encoding="utf-8") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read word file: {exc}") from exc
         return check_binary(text.strip())
-    if getattr(args, "word", None) is None:
+    if args.word is None:
         raise DomainError("a word is required (use --word or --word-file)")
     return check_binary(args.word)
 
@@ -169,14 +170,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"--range needs LO..HI, got {text!r}") from None
 
 
-def _check_brute(n: int) -> None:
-    if n > _MAX_BRUTE_N:
-        raise DomainError(f"brute force is capped at n = {_MAX_BRUTE_N}, got n = {n}")
-
-
 def _check_count(n: int, brute: bool) -> None:
-    if brute:
-        _check_brute(n)
+    if brute and n > _MAX_BRUTE_N:
+        raise DomainError(f"brute force is capped at n = {_MAX_BRUTE_N}, got n = {n}")
     if n > _MAX_COUNT_N:
         raise DomainError(f"count is capped at n = {_MAX_COUNT_N}, got n = {n}")
 
@@ -197,9 +193,9 @@ def _cmd_count(args) -> tuple[object, list[str]]:
 
 
 def _cmd_list(args) -> tuple[dict, list[str]]:
-    _check_brute(args.n)
+    _check_count(args.n, True)
     _check_bounds(args)
-    found = brute_force_solutions(args.n, args.a_cap, args.b_cap)
+    found = [w for w in brute_force_solutions(args.n) if has_params(w, args.a_cap, args.b_cap)]
     result = {"n": args.n, "count": len(found), "solutions": found}
     return result, found
 
@@ -280,13 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sqword",
         description="Square-root solutions over minimal squares: generate, check, classify, count.",
     )
-    parser.add_argument(
-        "--format", dest="format_top", choices=("json", "csv", "text"), default=None
-    )
+    formats = ("json", "csv", "text")
+    parser.add_argument("--format", choices=formats, default="json")
+    # a --format after the command overrides one before it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", dest="format_sub", choices=("json", "csv", "text"), default=None
-    )
+    common.add_argument("--format", choices=formats, default=argparse.SUPPRESS)
+    worded = argparse.ArgumentParser(add_help=False, parents=[common])
+    worded.add_argument("--word")
+    worded.add_argument("--word-file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", parents=[common], help="generate standard, fibonacci or central words")
@@ -300,47 +297,34 @@ def build_parser() -> argparse.ArgumentParser:
     g_cen = gensub.add_parser("central")
     g_cen.add_argument("--c", type=int, required=True)
     g_cen.add_argument("--d", type=int, required=True)
-    gen.set_defaults(func=_cmd_gen)
 
-    sq = sub.add_parser("sqrt", parents=[common], help="square root of a word")
-    sq.add_argument("--word")
-    sq.add_argument("--word-file")
+    sq = sub.add_parser("sqrt", parents=[worded], help="square root of a word")
     sq.add_argument("--a", type=int, required=True)
     sq.add_argument("--b", type=int, default=0)
     sq.add_argument("--trim", action="store_true", help="trim to complete squares first")
-    sq.set_defaults(func=_cmd_sqrt)
 
-    chk = sub.add_parser("check", parents=[common], help="is the word a solution?")
-    chk.add_argument("--word")
-    chk.add_argument("--word-file")
+    chk = sub.add_parser("check", parents=[worded], help="is the word a solution?")
     chk.add_argument("--a", type=int)
     chk.add_argument("--b", type=int, default=0)
     chk.add_argument("--a-max", type=int)
     chk.add_argument("--b-max", type=int)
-    chk.set_defaults(func=_cmd_check)
 
-    cls = sub.add_parser("classify", parents=[common], help="classify a word against the solution trichotomy")
-    cls.add_argument("--word")
-    cls.add_argument("--word-file")
+    cls = sub.add_parser("classify", parents=[worded], help="classify a word against the solution trichotomy")
     cls.add_argument("--a-max", type=int)
     cls.add_argument("--b-max", type=int)
-    cls.set_defaults(func=_cmd_classify)
 
     cnt = sub.add_parser("count", parents=[common], help="count solutions of a length (formula, optionally brute)")
     cnt.add_argument("--n", type=int)
     cnt.add_argument("--range", help="inclusive range, e.g. 1..36")
     cnt.add_argument("--brute", action="store_true")
-    cnt.set_defaults(func=_cmd_count)
 
     lst = sub.add_parser("list", parents=[common], help="list all solutions of a length")
     lst.add_argument("--n", type=int, required=True)
     lst.add_argument("--a-cap", type=int)
     lst.add_argument("--b-cap", type=int)
-    lst.set_defaults(func=_cmd_list)
 
     orb = sub.add_parser("orbits", parents=[common], help="doubling-map orbit partition")
     orb.add_argument("--n", type=int, required=True)
-    orb.set_defaults(func=_cmd_orbits)
 
     fix = sub.add_parser("fixedpoint", parents=[common], help="materialize a square-root dynamics stream")
     fix.add_argument("--kind", choices=_STREAM_KINDS, required=True)
@@ -349,14 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("--c", type=int, default=1)
     fix.add_argument("--word", help="reversed standard block for kind 'sl'")
     fix.add_argument("--length", type=int, required=True)
-    fix.set_defaults(func=_cmd_fixedpoint)
 
-    per = sub.add_parser("period", parents=[common], help="detect eventual periodicity of a word")
-    per.add_argument("--word")
-    per.add_argument("--word-file")
+    per = sub.add_parser("period", parents=[worded], help="detect eventual periodicity of a word")
     per.add_argument("--max-period", type=int)
     per.add_argument("--reference", help="word to compare the period against, up to rotation")
-    per.set_defaults(func=_cmd_period)
 
     return parser
 
@@ -366,18 +346,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "count" and args.n is None and not args.range:
         parser.error("count needs --n or --range")
-    out_format = args.format_sub or args.format_top or "json"
     try:
-        result, lines = args.func(args)
+        # looked up by name at call time, so that wrappers installed on the
+        # module are the ones that run
+        result, lines = globals()["_cmd_" + args.command](args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if out_format == "json":
-        skip = ("func", "command", "format_top", "format_sub")
+    if args.format == "json":
         inputs = {
-            k: v for k, v in vars(args).items() if k not in skip and v is not None
+            k: v for k, v in vars(args).items() if k not in ("command", "format") and v is not None
         }
         envelope = {
             "command": args.command,

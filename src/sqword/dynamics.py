@@ -9,6 +9,7 @@ shifted square roots.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
@@ -229,29 +230,31 @@ def detect_period(
     periodic word reports preperiod 0 with its minimum period.  When a
     *reference* word is supplied and the period word is one of its
     rotations, the report records it.
+
+    The winner is read off one border array of the reversed word: the
+    suffix of length m has least period m - border[m], and a suffix with
+    any qualifying period has its least one qualify too, so the longest
+    suffix whose least period qualifies gives the answer in linear time.
     """
     check_binary(word)
     n = len(word)
-    if n == 0:
+    limit = n if max_period is None else max_period
+    reverse = word[::-1]
+    border = array("q", [0]) * (n + 1)
+    k = 0
+    for i in range(1, n):
+        while k and reverse[i] != reverse[k]:
+            k = border[k]
+        if reverse[i] == reverse[k]:
+            k += 1
+        border[i + 1] = k
+    for m in range(n, 1, -1):
+        period = m - border[m]
+        if period <= limit and 2 * period <= m:
+            break
+    else:
         return None
-    # a period p with 2p > n never qualifies, so the cap is exact
-    max_period = n // 2 if max_period is None else min(max_period, n // 2)
-    best: tuple[int, int] | None = None
-    for period in range(1, max_period + 1):
-        preperiod = 0
-        for i in range(n - period - 1, -1, -1):
-            if word[i] != word[i + period]:
-                preperiod = i + 1
-                break
-        if preperiod + 2 * period > n:
-            continue
-        if best is None or (preperiod, period) < best:
-            best = (preperiod, period)
-            if preperiod == 0:
-                break
-    if best is None:
-        return None
-    preperiod, period = best
+    preperiod = n - m
     period_word = word[preperiod : preperiod + period]
     conjugate = (
         reference

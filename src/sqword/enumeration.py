@@ -148,34 +148,29 @@ def count_solutions(n: int, brute: bool = False) -> CountReport:
     return CountReport(n=n, formula_count=formula, brute_count=brute_count, per_divisor=per)
 
 
-def brute_force_solutions(
-    n: int,
-    a_cap: int | None = None,
-    b_cap: int | None = None,
-) -> list[str]:
+def brute_force_solutions(n: int) -> list[str]:
     """All solutions of length n, one per symmetry class, lexicographically.
 
     A depth-first search over the words that start with 0 and avoid 11.  A
     solution for (a, b) has its square, and so each of its prefixes, in the
-    factor language of (a, b); a prefix with two 1s that no pair within the
-    caps admits is dropped with all its extensions.  Parameter caps default
-    to twice the length (complete), the bounds ``has_params`` applies to
-    each word of length n.
+    factor language of (a, b); a prefix with two 1s that no pair with a and
+    b at most 2n admits is dropped with all its extensions.  Those are the
+    bounds ``has_params`` applies to each word of length n, and they decide
+    solution-hood.
     """
     if n < 1:
         raise DomainError("brute_force_solutions needs n >= 1")
-    a_max = 2 * n if a_cap is None else a_cap
-    b_max = 2 * n if b_cap is None else b_cap
+    bound = 2 * n
     found = []
     stack = ["0"]
     while stack:
         word = stack.pop()
         if len(word) == n:
-            if has_params(word, a_cap, b_cap):
+            if has_params(word):
                 found.append(word)
             continue
         # push the 1-child first so that words come off the stack in order
         for child in (word + "1", word + "0") if word[-1] == "0" else (word + "0",):
-            if child.count("1") < 2 or next(_language_params(child, a_max, b_max), None) is not None:
+            if child.count("1") < 2 or next(_language_params(child, bound, bound), None) is not None:
                 stack.append(child)
     return found

@@ -38,22 +38,20 @@ def doubling_orbits(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 1:
         raise EmptyWordError("orbit partition needs n >= 1")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        ri, rj = find(i), find(2 * i % n)
-        if ri != rj:
-            parent[ri] = rj
+    # each component holds one cycle, made of the multiples of step (the
+    # largest power of two dividing n), and x * step mod n lies on x's
+    # cycle; groups open in order of their least member
+    step = n & -n
+    label: dict[int, int] = {}
+    for start in range(0, n, step):
+        x = start
+        while x not in label:
+            label[x] = start
+            x = 2 * x % n
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(sorted((tuple(g) for g in groups.values()), key=lambda g: g[0]))
+    for x in range(n):
+        groups.setdefault(label[x * step % n], []).append(x)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def _check_pattern(pattern: str) -> str:

@@ -83,7 +83,7 @@ SIGNATURES = {
     "SquareStream.prefix": "(self, min_len)",
     "SquareStream.prefix_blocks": "(self, min_len)",
     "are_conjugate": "(u, v)",
-    "brute_force_solutions": "(n, a_cap=None, b_cap=None)",
+    "brute_force_solutions": "(n)",
     "central_word": "(c, d)",
     "classify": "(word, a_max=None, b_max=None)",
     "count_solutions": "(n, brute=False)",

@@ -1,12 +1,15 @@
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
+import sqword.cli
 from sqword import __version__
-from sqword.cli import _word_report, main
+from sqword.cli import _word_report, build_parser, main
 from sqword.dynamics import SquareStream, fixed_point_stream, no_square_prefix_word
 from sqword.standard import standard_from_directive
+from test_enumeration import generate_and_test
 from test_standard import all_directives, central_recognizer
 
 
@@ -206,6 +209,16 @@ class TestOtherCommands:
         env = run_json(capsys, "list", "--n", "4")
         assert env["result"]["solutions"] == ["0000", "0100", "0101"]
 
+    @pytest.mark.parametrize("caps", [(1, None), (2, 0), (3, 2), (None, 1), (0, 5)])
+    def test_capped_list_equals_generate_and_test(self, capsys, caps):
+        flags = []
+        for flag, cap in zip(("--a-cap", "--b-cap"), caps):
+            if cap is not None:
+                flags += [flag, str(cap)]
+        for n in range(1, 19):
+            env = run_json(capsys, "list", "--n", str(n), *flags)
+            assert env["result"]["solutions"] == generate_and_test(n, *caps), n
+
     def test_list_round_trips_through_check(self, capsys):
         env = run_json(capsys, "list", "--n", "6")
         for word in env["result"]["solutions"]:
@@ -258,6 +271,29 @@ class TestOtherCommands:
         env = run_json(capsys, "period", "--word", "0001", "--max-period", str(10**12))
         assert env["result"] == {"word": "0001", "period": None}
 
+    @pytest.mark.parametrize(
+        "before, after, shown",
+        [(["--format", "csv"], [], "csv"), ([], ["--format", "csv"], "csv"),
+         (["--format", "text"], ["--format", "csv"], "csv"),
+         (["--format", "csv"], ["--format", "json"], "json")],
+    )
+    def test_format_before_or_after_the_command(self, capsys, before, after, shown):
+        code, out, err = run_cli(capsys, *before, "count", "--range", "1..3", *after)
+        assert code == 0
+        if shown == "csv":
+            assert out == "1,1\n2,2\n3,2\n"
+        else:
+            assert [r["count"] for r in json.loads(out)["result"]] == [1, 2, 2]
+
+    def test_every_command_has_a_handler(self, capsys, monkeypatch):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert all(callable(getattr(sqword.cli, "_cmd_" + name, None)) for name in commands)
+        # handlers are looked up at call time, so a replaced one runs
+        monkeypatch.setattr("sqword.cli._cmd_orbits", lambda args: ({"n": args.n}, ["stub"]))
+        assert run_cli(capsys, "--format", "text", "orbits", "--n", "7") == (0, "stub\n", "")
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fixedpoint", "--kind", "bogus", "--length", "5"])
@@ -277,6 +313,7 @@ class TestCaps:
             "no_square_prefix_word",
             "two_periodic_word",
             "brute_force_solutions",
+            "has_params",
             "count_solutions",
             "find_params",
             "classify",
@@ -355,10 +392,11 @@ def test_fixedpoint_conflicting_param_is_rejected(capsys, monkeypatch, flag, nat
 
 def test_caps_admit_their_limits(capsys, monkeypatch):
     seen = []
-    monkeypatch.setattr("sqword.cli.brute_force_solutions", lambda *args: seen.append(args) or [])
+    monkeypatch.setattr("sqword.cli.brute_force_solutions", lambda *args: seen.append(args) or ["0"])
+    monkeypatch.setattr("sqword.cli.has_params", lambda w, *caps: seen.append(caps) or True)
     run_json(capsys, "list", "--n", "60")
     run_json(capsys, "list", "--n", "5", "--a-cap", "1000", "--b-cap", "1000")
-    assert seen == [(60, None, None), (5, 1000, 1000)]
+    assert seen == [(60,), (None, None), (5,), (1000, 1000)]
     # the largest chain words within 4 * 10^7 letters: 8 * 2235^2 at c = 1117
     # and 8 * 9^7 = 38,263,752 at c = 1; the streams run at c = 1 with a stub prefix
     chains = []

@@ -265,6 +265,28 @@ class TestSquarePrefixes:
             assert square_prefixes(word) == expected
 
 
+def period_loop(word, max_period=None):
+    """The per-candidate rescan that ``detect_period`` replaced, as (preperiod, period)."""
+    n = len(word)
+    if n == 0:
+        return None
+    max_period = n // 2 if max_period is None else min(max_period, n // 2)
+    best = None
+    for period in range(1, max_period + 1):
+        preperiod = 0
+        for i in range(n - period - 1, -1, -1):
+            if word[i] != word[i + period]:
+                preperiod = i + 1
+                break
+        if preperiod + 2 * period > n:
+            continue
+        if best is None or (preperiod, period) < best:
+            best = (preperiod, period)
+            if preperiod == 0:
+                break
+    return best
+
+
 class TestDetectPeriod:
     def test_purely_periodic(self):
         report = detect_period("010101", 4)
@@ -301,6 +323,20 @@ class TestDetectPeriod:
             for bits in range(1 << n):
                 word = format(bits, f"0{n}b")
                 assert detect_period(word, n // 2) == detect_period(word, 10**12), word
+
+    def test_border_array_equals_rescan(self):
+        for n in range(13):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                for max_period in (None, 0, 1, 2, 3, 5):
+                    report = detect_period(word, max_period)
+                    found = None if report is None else (report.preperiod, report.period)
+                    assert found == period_loop(word, max_period), (word, max_period)
+
+    def test_long_tail_is_linear(self):
+        # quadratic for the rescan, which reads the tail once per candidate period
+        report = detect_period("1" + "0" * 99999)
+        assert (report.preperiod, report.period, report.period_word) == (1, 1, "0")
 
 
 class TestVerification:

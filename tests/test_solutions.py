@@ -40,6 +40,26 @@ def no11_words(n, head="0"):
     return words
 
 
+def union_find_orbits(n):
+    """The union-find partition that ``doubling_orbits`` replaced."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        ri, rj = find(i), find(2 * i % n)
+        if ri != rj:
+            parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(sorted((tuple(g) for g in groups.values()), key=lambda g: g[0]))
+
+
 class TestDoublingOrbits:
     def test_small(self):
         assert doubling_orbits(1) == ((0,),)
@@ -61,6 +81,10 @@ class TestDoublingOrbits:
                     lookup[i] = orbit
             for i in range(n):
                 assert lookup[2 * i % n] is lookup[i]
+
+    def test_cycle_labels_equal_union_find(self):
+        for n in range(1, 1025):
+            assert doubling_orbits(n) == union_find_orbits(n), n
 
 
 def orbit_pattern_word(pattern):
