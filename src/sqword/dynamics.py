@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, count, islice, repeat
 from typing import Callable, Iterator
 
 from .errors import (
@@ -53,24 +53,27 @@ class SquareStream:
         if min_len < 1:
             raise DomainError("prefix length must be >= 1")
         squares = dict(enumerate(minimal_squares(self.params), 1))
-        parts: list[str] = []
+        lengths = {idx: len(square) for idx, square in squares.items()}
+        longest = max(lengths.values())
+        blocks = self.block_factory()
         trace: list[int] = []
         total = 0
-        for idx in self.block_factory():
+        while total < min_len:
+            # a chunk this short stays under min_len before its last block,
+            # so the loop stops on the same block as a block-by-block one
+            chunk = tuple(islice(blocks, max(1, (min_len - total) // longest)))
+            if not chunk:
+                raise DomainError(
+                    f"stream {self.description!r} ended before {min_len} letters"
+                )
             try:
-                square = squares[idx]
-            except KeyError:
-                raise DomainError(f"stream {self.description!r} emitted block index {idx!r}") from None
-            parts.append(square)
-            trace.append(idx)
-            total += len(square)
-            if total >= min_len:
-                break
-        if total < min_len:
-            raise DomainError(
-                f"stream {self.description!r} ended before {min_len} letters"
-            )
-        return "".join(parts), tuple(trace)
+                total += sum(map(lengths.__getitem__, chunk))
+            except KeyError as exc:
+                raise DomainError(
+                    f"stream {self.description!r} emitted block index {exc.args[0]!r}"
+                ) from None
+            trace += chunk
+        return "".join(map(squares.__getitem__, trace)), tuple(trace)
 
     def prefix(self, min_len: int) -> str:
         return self.prefix_blocks(min_len)[0]
@@ -122,7 +125,7 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
     """
     params = _chain_params(block, c)
 
-    def gen() -> Iterator[int]:
+    def chain_squares() -> Iterator[tuple[int, ...]]:
         # a fresh chain per call: prefix_blocks asks for a new iterator each time
         pos = 0
         for word in islice(_chain(block, c), 0, None, 2):
@@ -133,10 +136,14 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
                 raise NotInPiError(
                     f"fixed-point prefix failed to factor at position {pos + fact.consumed}"
                 )
-            yield from fact.indices
+            yield fact.indices
             pos = 2 * len(word)
 
-    return SquareStream(params, gen, f"square-root fixed point over {block}")
+    return SquareStream(
+        params,
+        lambda: chain.from_iterable(chain_squares()),
+        f"square-root fixed point over {block}",
+    )
 
 
 def no_square_prefix_word(a: int = 1) -> SquareStream:
@@ -149,19 +156,9 @@ def no_square_prefix_word(a: int = 1) -> SquareStream:
     params = Params(a, 0)
 
     def gen() -> Iterator[int]:
-        yield 5
-        yield 6
-        yield 2
-        yield 1
-        yield 6
-        half = 1
-        while True:
-            for _ in range(2):
-                for _ in range(half):
-                    yield 3
-                for _ in range(half):
-                    yield 6
-            half *= 2
+        # groups of 2^e third-root squares then 2^e sixth-root ones, twice per e
+        runs = (repeat(k, 1 << e) for e in count() for k in (3, 6, 3, 6))
+        return chain((5, 6, 2, 1, 6), chain.from_iterable(runs))
 
     return SquareStream(params, gen, f"single-square-prefix fixed point, a={a}")
 
@@ -176,17 +173,9 @@ def two_periodic_word(a: int = 1) -> SquareStream:
     params = Params(a, 0)
 
     def gen() -> Iterator[int]:
-        yield 2
-        yield 1
-        r, s = 2, 2
-        step = 1
-        while True:
-            for _ in range(r):
-                yield 6
-            for _ in range(s):
-                yield 3
-            r, s = (6, 8) if step == 1 else (4 * r, 4 * s)
-            step += 1
+        # after (2, 2): 6 * 4^e sixth-root squares, then 8 * 4^e third-root ones
+        runs = (repeat(k, n << 2 * e) for e in count() for k, n in ((6, 6), (3, 8)))
+        return chain((2, 1, 6, 6, 3, 3), chain.from_iterable(runs))
 
     return SquareStream(params, gen, f"two-periodic point, a={a}")
 

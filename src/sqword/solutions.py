@@ -120,8 +120,14 @@ def find_params(word: str, a_max: int | None = None, b_max: int | None = None) -
 
 
 def has_params(word: str, a_max: int | None = None, b_max: int | None = None) -> bool:
-    """Early-exit version of ``find_params(word) != set()``."""
+    """Early-exit version of ``find_params(word) != set()``.
+
+    Bounds past twice the word length are clamped to it: those bounds
+    already decide solution-hood, so the answer is the same.
+    """
     a_max, b_max = _bounds(word, a_max, b_max)
+    limit = 2 * len(word)
+    a_max, b_max = min(a_max, limit), min(b_max, limit)
     return any(is_solution(word, p) for p in _language_params(word + word, a_max, b_max))
 
 

@@ -14,13 +14,17 @@ The factor language consists of all factors of infinite concatenations of
 ``1 0^(b+1)`` under the substitution ``1 -> 1 0^(a+1)``, ``0 -> 1 0^a``, so
 a word lies in the language exactly when it desubstitutes twice, first by a
 and then by b.  A word has a square root when it lies in that language and
-splits, greedily and uniquely, into squares of the six roots.
+splits, greedily and uniquely, into squares of the six roots.  The split is
+one compiled pattern per (a, b): an alternation of the six squares, matched
+square after square by the regular-expression engine.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import EmptyAfterTrimError, InvalidParamsError, NotInPiError
@@ -68,9 +72,10 @@ def _window(params: Params, n: int) -> tuple[int, int]:
     # so capping a at n changes nothing; s5 has a + 2 + b (a + 1) letters,
     # more than n for every b >= n // (a + 1), so capping b there changes
     # nothing either.  Every parse runs this, and conditionals cost a
-    # fraction of min() calls.
+    # fraction of min() calls.  The empty word keeps a = 1, so that the
+    # run 0^(a-1) of s2 has a length.
     a, b = params.a, params.b
-    a = a if a <= n else n
+    a = a if a <= n else n or 1
     cap = n // (a + 1)
     return a, (b if b <= cap else cap)
 
@@ -146,32 +151,41 @@ def in_language(word: str, params: Params) -> bool:
     return kinds is not None and _derive(kinds, params.b) is not None
 
 
+@lru_cache(maxsize=256)
+def _scanner(a: int, b: int):
+    # The six squares as one alternation, group i matching square i.  Zero
+    # runs are counted repeats, so the pattern stays a few hundred bytes
+    # however large a and b are.
+    run = "0{%d}"
+    s4 = "1" + run % a
+    s5 = "1" + run % (a + 1) + "(?:%s){%d}" % (s4, b)
+    roots = ("0", "01" + run % (a - 1), "0" + s4, s4, s5, s5 + s4)
+    pattern = "|".join(f"({r}{r})" for r in roots)
+    lengths = (0, *(2 * len(r) for r in _roots(a, b)))
+    return re.compile(pattern).scanner, lengths
+
+
+_LASTINDEX = attrgetter("lastindex")
+
+
 def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
     """Greedy left-to-right square parse; stops where no square matches.
 
     Returns the matched root indices (1-based) and the number of letters
     consumed.  At each position at most one square can match because no
     minimal square is a prefix of another, so no backtracking is needed.
+    The parse is one compiled pattern per (a, b): each match resumes where
+    the previous one ended, and the first position where no square matches
+    ends the scan.
     """
-    n = len(word)
-    squares = _squares(*_window(params, n))
-    indices: list[int] = []
-    pos = 0
-    while pos < n:
-        for i, sq in enumerate(squares):
-            if word.startswith(sq, pos):
-                indices.append(i + 1)
-                pos += len(sq)
-                break
-        else:
-            break
-    return indices, pos
+    scanner, lengths = _scanner(*_window(params, len(word)))
+    indices = list(map(_LASTINDEX, iter(scanner(word).match, None)))
+    return indices, sum(map(lengths.__getitem__, indices))
 
 
 def _join_roots(indices, params: Params, n: int) -> str:
     # Join the roots of squares matched within n letters.
-    roots = _roots(*_window(params, n))
-    return "".join(roots[i - 1] for i in indices)
+    return "".join(map(("", *_roots(*_window(params, n))).__getitem__, indices))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -22,7 +23,14 @@ from sqword.errors import (
     PreconditionFailedError,
 )
 from sqword.solutions import classify, is_solution, Verdict
-from sqword.squares import Params, in_language, minimal_square_roots, parse, square_root
+from sqword.squares import (
+    Params,
+    in_language,
+    minimal_square_roots,
+    minimal_squares,
+    parse,
+    square_root,
+)
 from sqword.standard import natural_params, standard_from_directive
 from sqword.words import are_conjugate, exchange_first_two
 
@@ -64,6 +72,57 @@ def verify_by_parsing(stream: SquareStream, target_len: int, iterations: int = 1
         if not current:
             raise EmptyAfterTrimError("root vanished after trimming")
     return current == word[: len(current)]
+
+
+def prefix_blocks_loop(stream: SquareStream, min_len: int) -> tuple[str, tuple[int, ...]]:
+    """The block-by-block oracle for the chunked ``prefix_blocks``."""
+    squares = dict(enumerate(minimal_squares(stream.params), 1))
+    parts, trace, total = [], [], 0
+    for idx in stream.block_factory():
+        try:
+            square = squares[idx]
+        except KeyError:
+            raise DomainError(f"stream {stream.description!r} emitted block index {idx!r}") from None
+        parts.append(square)
+        trace.append(idx)
+        total += len(square)
+        if total >= min_len:
+            break
+    if total < min_len:
+        raise DomainError(f"stream {stream.description!r} ended before {min_len} letters")
+    return "".join(parts), tuple(trace)
+
+
+def no_square_prefix_blocks():
+    """The generator oracle for ``no_square_prefix_word``'s blocks."""
+    yield 5
+    yield 6
+    yield 2
+    yield 1
+    yield 6
+    half = 1
+    while True:
+        for _ in range(2):
+            for _ in range(half):
+                yield 3
+            for _ in range(half):
+                yield 6
+        half *= 2
+
+
+def two_periodic_blocks():
+    """The generator oracle for ``two_periodic_word``'s blocks."""
+    yield 2
+    yield 1
+    r, s = 2, 2
+    step = 1
+    while True:
+        for _ in range(r):
+            yield 6
+        for _ in range(s):
+            yield 3
+        r, s = (6, 8) if step == 1 else (4 * r, 4 * s)
+        step += 1
 
 
 def _streams():
@@ -179,6 +238,53 @@ class TestStreams:
         stream = SquareStream(P10, lambda: iter([1, index, 1]), "bad")
         with pytest.raises(DomainError, match="block index"):
             stream.prefix(5)
+
+
+class TestChunkedPrefix:
+    @pytest.mark.parametrize("n", [1, 17, 10**4, 10**5])
+    def test_equals_block_loop(self, n):
+        for stream in _streams():
+            assert stream.prefix_blocks(n) == prefix_blocks_loop(stream, n), stream.description
+
+    def test_equals_block_loop_at_a_block_boundary(self):
+        for stream in _streams():
+            word, trace = prefix_blocks_loop(stream, 10**4)
+            for n in (len(word) - 1, len(word), len(word) + 1):
+                assert stream.prefix_blocks(n) == prefix_blocks_loop(stream, n), stream.description
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_factories_equal_generators(self, a):
+        for make, oracle in (
+            (no_square_prefix_word, no_square_prefix_blocks),
+            (two_periodic_word, two_periodic_blocks),
+        ):
+            blocks = make(a).block_factory()
+            assert list(itertools.islice(blocks, 10**5)) == list(itertools.islice(oracle(), 10**5))
+
+    def test_finite_factory_ends_early(self):
+        stream = SquareStream(P10, lambda: iter([1] * 100), "finite")
+        with pytest.raises(DomainError, match=r"ended before 1000 letters$"):
+            stream.prefix_blocks(1000)
+        assert stream.prefix_blocks(200) == ("00" * 100, (1,) * 100)
+
+    @pytest.mark.parametrize("min_len", [10**4, 10**5])
+    @pytest.mark.parametrize("index", [9, "x"])
+    def test_bad_index_in_a_later_block(self, index, min_len):
+        # block 5,000 is in the first chunk of a 10**5-letter request, and
+        # in a late one-block chunk of a 10**4-letter one (4,999 blocks "00")
+        blocks = lambda: itertools.chain(itertools.repeat(1, 4999), [index], itertools.repeat(1))
+        stream = SquareStream(P10, blocks, "bad")
+        message = re.escape(f"emitted block index {index!r}") + "$"
+        with pytest.raises(DomainError, match=message):
+            stream.prefix_blocks(min_len)
+        with pytest.raises(DomainError, match=message):
+            prefix_blocks_loop(stream, min_len)
+
+    def test_bad_index_after_the_length_is_not_read(self):
+        blocks = lambda: itertools.chain(itertools.repeat(1, 5000), [9])
+        stream = SquareStream(P10, blocks, "bad tail")
+        assert stream.prefix_blocks(10**4) == ("00" * 5000, (1,) * 5000)
+        assert stream.prefix_blocks(9999) == ("00" * 5000, (1,) * 5000)
 
 
 class TestResumedParse:

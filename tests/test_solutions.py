@@ -10,7 +10,7 @@ from sqword.errors import (
     NotInPiError,
     TooShortError,
 )
-from sqword import squares
+from sqword import solutions, squares
 from sqword.solutions import (
     Verdict,
     classify,
@@ -287,7 +287,38 @@ class TestFindParams:
         assert len(words) == 984
         for word in words:
             wide = 4 * len(word)
-            assert has_params(word) == has_params(word, wide, wide), word
+            assert has_params(word) == bool(find_params(word, wide, wide)), word
+
+    def test_clamped_has_params_equals_find_params(self):
+        # has_params clamps its bounds at 2|w| and find_params does not, so
+        # find_params is the oracle for bounds past the clamp
+        words = [format(bits, f"0{n}b") for n in range(1, 9) for bits in range(1 << n)]
+        checks = 0
+        for word in words:
+            n = len(word)
+            for bounds in (
+                (None, None), (2 * n + 1, 2 * n + 1), (3 * n, 3 * n), (100, 100), (1, 100), (100, 1)
+            ):
+                assert has_params(word, *bounds) == bool(find_params(word, *bounds)), (word, bounds)
+                checks += 1
+        assert checks == 3060
+
+    def test_has_params_searches_within_the_clamp(self, monkeypatch):
+        # b_max = 10**5 used to walk every b up to it
+        seen = []
+        language_params = solutions._language_params
+
+        def recording(square, a_max, b_max):
+            seen.append((a_max, b_max))
+            return language_params(square, a_max, b_max)
+
+        monkeypatch.setattr(solutions, "_language_params", recording)
+        assert not has_params("00010", None, 10**5)
+        assert has_params("0", 10**5, 10**5)
+        assert seen == [(10, 10), (2, 2)]
+
+    def test_find_params_lists_pairs_past_the_clamp(self):
+        assert find_params("0", 3, 100) == {Params(a, b) for a in (1, 2, 3) for b in range(101)}
 
     def test_has_params_consistent(self):
         for word in no11_words(8):

@@ -1,9 +1,12 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
 
+from sqword import squares
+from sqword.dynamics import fixed_point_stream, no_square_prefix_word, two_periodic_word
 from sqword.errors import EmptyAfterTrimError, InvalidParamsError, NotInPiError
 from sqword.squares import (
     Params,
@@ -11,13 +14,31 @@ from sqword.squares import (
     minimal_square_roots,
     minimal_squares,
     parse,
+    scan_minimal_squares,
     square_root,
 )
+from sqword.standard import standard_from_directive
 from sqword.words import slope
 
 P10 = Params(1, 0)
 
 SMALL_PARAMS = [Params(a, b) for a in range(1, 7) for b in range(7)]
+
+
+def scan_loop(word, params):
+    """The startswith loop that the compiled scanner replaced, over the
+    full-size squares: at each position try the six squares in order."""
+    full = minimal_squares(params)
+    indices, pos = [], 0
+    while pos < len(word):
+        for i, sq in enumerate(full):
+            if word.startswith(sq, pos):
+                indices.append(i + 1)
+                pos += len(sq)
+                break
+        else:
+            break
+    return indices, pos
 
 
 def root_or_none(word, params):
@@ -281,15 +302,8 @@ class TestFactorization:
         for a in (1, 2, 3, 4):
             for b in range(8):
                 p = Params(a, b)
-                full = minimal_squares(p)
                 for word in words:
-                    indices, pos = [], 0
-                    while True:
-                        i = next((i for i, sq in enumerate(full) if word.startswith(sq, pos)), None)
-                        if i is None:
-                            break
-                        indices.append(i + 1)
-                        pos += len(full[i])
+                    indices, pos = scan_loop(word, p)
                     fact = parse(word, p)
                     assert (fact.indices, fact.consumed) == (tuple(indices), pos), (word, p)
                     assert fact.root() == "".join(minimal_square_roots(p)[i - 1] for i in indices)
@@ -300,6 +314,51 @@ class TestFactorization:
         assert (fact.consumed, fact.complete) == (2, False)
         assert fact.root() == "0"
         assert parse("", P10).complete
+
+
+def flipped(word, i):
+    return word[:i] + ("1" if word[i] == "0" else "0") + word[i + 1 :]
+
+
+class TestScanner:
+    @pytest.mark.parametrize("ab", [(1, 0), (1, 1), (2, 0), (2, 3), (3, 1), (50, 50)])
+    def test_equals_loop_on_short_words(self, ab):
+        p = Params(*ab)
+        for n in range(13):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                assert scan_minimal_squares(word, p) == scan_loop(word, p), (word, p)
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            fixed_point_stream("01010010", 1),
+            fixed_point_stream(standard_from_directive((2, 4, 2, 4))[::-1], 1),
+            no_square_prefix_word(2),
+            two_periodic_word(3),
+        ],
+        ids=("sl-flagship", "sl-b3", "nosquare", "biperiodic"),
+    )
+    def test_equals_loop_on_stream_prefixes(self, stream):
+        # whole prefixes, and prefixes with a letter flipped so that the
+        # scan stops partway
+        word = stream.prefix(10**5)
+        p = stream.params
+        for text in (word, flipped(word, 5000), flipped(word, 77777)):
+            assert scan_minimal_squares(text, p) == scan_loop(text, p)
+        assert scan_minimal_squares(word, p)[1] == len(word)
+
+    def test_pattern_stays_small(self):
+        # zero runs are counted repeats: the window at 2,000 letters is
+        # a = 2000, where literal squares would compile to megabytes
+        squares._scanner.cache_clear()
+        squares._roots.cache_clear()
+        re.purge()
+        p = Params(10**6, 10**6)
+        peak = peak_bytes(lambda: scan_minimal_squares("0" * 2000, p))
+        assert peak < 1 << 20
+        assert scan_minimal_squares("0" * 2000, p) == ([1] * 1000, 2000)
+        assert scan_minimal_squares("1" + "0" * 1999, p) == ([], 0)
 
 
 class TestSquareRoot:
