@@ -16,7 +16,11 @@ that start with 0 (one representative per symmetry class) and avoid 11 (no
 solution contains 11) depth first, and keeps those admitting parameters.
 The factor language is closed under factors and holds the square of every
 solution, so the search drops each prefix that no parameter pair admits.
-It reads only the language and ``has_params``, never the formula.
+Each prefix carries its first desubstitution, an (a, kinds, t) triple per
+live a: the kinds word its complete blocks commit and its trailing zero
+count t, so a letter costs O(1) at the first level and only a changed kinds
+word is derived again.  It reads only the language and ``has_params``,
+never the formula.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
 from .solutions import has_params
-from .squares import _language_params
+from .squares import _derive, _levels
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -148,6 +152,38 @@ def count_solutions(n: int, brute: bool = False) -> CountReport:
     return CountReport(n=n, formula_count=formula, brute_count=brute_count, per_divisor=per)
 
 
+def _second_level(kinds: str, bound: int) -> bool:
+    # Whether some b <= bound holds the kinds word at the second level.
+    return any(_derive(kinds, b) is not None for b in _levels(kinds, 0, bound))
+
+
+def _first_level(word: str, bound: int) -> list[tuple[int, str, int]]:
+    # The state of a word that ends in its second 1: each a <= bound that
+    # holds it, with the kinds word it commits and no trailing zeros.
+    return [
+        (a, kinds, 0)
+        for a in _levels(word, 1, bound)
+        if (kinds := _derive(word, a)) is not None and _second_level(kinds, bound)
+    ]
+
+
+def _append(live: list[tuple[int, str, int]], letter: str, bound: int) -> list[tuple[int, str, int]]:
+    # The state after appending *letter*.  A 0 grows the tail 1 0^t up to
+    # 1 0^(a+1), whose kinds letter 1 is provisional until the next 1; a 1
+    # commits the tail as 0 (t = a) or 1 (t = a + 1).
+    grown = []
+    for a, kinds, t in live:
+        if letter == "0":
+            if t < a or t == a and _second_level(kinds + "1", bound):
+                grown.append((a, kinds, t + 1))
+        elif t == a:
+            if _second_level(kinds + "0", bound):
+                grown.append((a, kinds + "0", 0))
+        elif t == a + 1:
+            grown.append((a, kinds + "1", 0))
+    return grown
+
+
 def brute_force_solutions(n: int) -> list[str]:
     """All solutions of length n, one per symmetry class, lexicographically.
 
@@ -157,20 +193,34 @@ def brute_force_solutions(n: int) -> list[str]:
     b at most 2n admits is dropped with all its extensions.  Those are the
     bounds ``has_params`` applies to each word of length n, and they decide
     solution-hood.
+
+    Each prefix carries its first desubstitution: once it has two 1s, the
+    live (a, kinds, t) triples, one per a that still holds it, with the
+    kinds word its complete blocks commit and the length t of its trailing
+    zero run.  Each letter updates them in O(1), and only a changed kinds
+    word is derived again, at the second level.
     """
     if n < 1:
         raise DomainError("brute_force_solutions needs n >= 1")
     bound = 2 * n
     found = []
-    stack = ["0"]
+    stack = [("0", None)]
     while stack:
-        word = stack.pop()
+        word, live = stack.pop()
         if len(word) == n:
             if has_params(word):
                 found.append(word)
             continue
         # push the 1-child first so that words come off the stack in order
-        for child in (word + "1", word + "0") if word[-1] == "0" else (word + "0",):
-            if child.count("1") < 2 or next(_language_params(child, bound, bound), None) is not None:
-                stack.append(child)
+        if word[-1] == "0":
+            child = word + "1"
+            if live is not None:
+                grown = _append(live, "1", bound)
+            else:
+                grown = _first_level(child, bound) if "1" in word else None
+            if grown is None or grown:
+                stack.append((child, grown))
+        grown = None if live is None else _append(live, "0", bound)
+        if grown is None or grown:
+            stack.append((word + "0", grown))
     return found

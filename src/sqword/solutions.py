@@ -113,10 +113,19 @@ def find_params(word: str, a_max: int | None = None, b_max: int | None = None) -
     Bounds default to twice the word length, which is enough to decide
     solution-hood outright: a minimal square inside the square of *word*
     cannot be longer than the square itself.  Only the pairs whose factor
-    language holds the square are tried.
+    language holds the square are tried, and each b only up to
+    2|w| // (a + 1): every larger b parses and derives the square alike, so
+    a solution there extends to every b up to ``b_max`` untried.
     """
     a_max, b_max = _bounds(word, a_max, b_max)
-    return {p for p in _language_params(word + word, a_max, b_max) if is_solution(word, p)}
+    square = word + word
+    found = set()
+    for p in _language_params(square, a_max, b_max):
+        if is_solution(word, p):
+            found.add(p)
+            if p.b == len(square) // (p.a + 1):
+                found.update(Params(p.a, b) for b in range(p.b + 1, b_max + 1))
+    return found
 
 
 def has_params(word: str, a_max: int | None = None, b_max: int | None = None) -> bool:

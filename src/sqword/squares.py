@@ -129,12 +129,16 @@ def _levels(word: str, low: int, high: int) -> range:
 
 
 def _language_params(word: str, a_max: int, b_max: int) -> Iterator[Params]:
-    # Every Params(a, b) with a <= a_max and b <= b_max whose factor language
-    # holds *word*, in increasing order.
+    # Every Params(a, b) with a <= a_max and b <= min(b_max, |word| // (a + 1))
+    # whose factor language holds *word*, in increasing order.  Each b past
+    # that saturation point answers as it does, here and in every parse of
+    # the word: _window caps the parse's b there, and each kinds letter
+    # stands for a block of at least a + 1 letters, so the kinds word has at
+    # most that many letters and _derive caps b at its length.
     for a in _levels(word, 1, a_max):
         kinds = _derive(word, a)
         if kinds is not None:
-            for b in _levels(kinds, 0, b_max):
+            for b in _levels(kinds, 0, min(b_max, len(word) // (a + 1))):
                 if _derive(kinds, b) is not None:
                     yield Params(a, b)
 

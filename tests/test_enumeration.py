@@ -17,6 +17,7 @@ from sqword.enumeration import (
 )
 from sqword.errors import DomainError, NotADivisorError, NotCoprimeError
 from sqword.solutions import doubling_orbits, has_params
+from sqword.squares import _language_params
 
 # OEIS A000374: orbit counts of doubling mod n (first 21 terms).
 A000374 = [1, 1, 2, 1, 2, 2, 3, 1, 3, 2, 2, 2, 2, 3, 5, 1, 3, 3, 2, 2, 6]
@@ -61,6 +62,25 @@ def _candidate_words(n: int):
 def generate_and_test(n, a_cap=None, b_cap=None):
     """The unpruned oracle: every 0-initial 11-free word that has parameters."""
     return [w for w in _candidate_words(n) if has_params(w, a_cap, b_cap)]
+
+
+def rederiving_dfs(n):
+    """The DFS that desubstituted each prefix from scratch: the oracle for
+    the state ``brute_force_solutions`` carries down the tree.  Its leaves
+    go through ``sqword.enumeration.has_params``, as the DFS's do."""
+    bound = 2 * n
+    found = []
+    stack = ["0"]
+    while stack:
+        word = stack.pop()
+        if len(word) == n:
+            if sqword.enumeration.has_params(word):
+                found.append(word)
+            continue
+        for child in (word + "1", word + "0") if word[-1] == "0" else (word + "0",):
+            if child.count("1") < 2 or next(_language_params(child, bound, bound), None) is not None:
+                stack.append(child)
+    return found
 
 
 def order_walk(d: int) -> int:
@@ -189,6 +209,17 @@ class TestCountSolutions:
         assert data["per_divisor"]["8"] == 1
 
 
+@pytest.fixture
+def leaves(monkeypatch):
+    """The words the DFS hands to ``has_params``, in order."""
+    seen = []
+    original = sqword.enumeration.has_params
+    monkeypatch.setattr(
+        "sqword.enumeration.has_params", lambda w, *caps: seen.append(w) or original(w, *caps)
+    )
+    return seen
+
+
 class TestBruteForce:
     def test_small_listings(self):
         assert brute_force_solutions(1) == ["0"]
@@ -213,16 +244,22 @@ class TestBruteForce:
         for n in range(1, 25):
             assert brute_force_solutions(n) == generate_and_test(n), n
 
-    def test_pruning_bounds_the_leaves(self, monkeypatch):
+    def test_pruning_bounds_the_leaves(self, leaves):
         # Generate-and-test would check 5.7 M words at n = 33; the pruned
         # search reaches 1,863 words of full length.
-        leaves = []
-        original = sqword.enumeration.has_params
-        monkeypatch.setattr(
-            "sqword.enumeration.has_params", lambda w, *caps: leaves.append(w) or original(w, *caps)
-        )
         assert len(brute_force_solutions(33)) == 19
-        assert 19 <= len(leaves) <= 2000
+        assert len(leaves) == 1863
+
+    def test_carried_state_equals_rederiving(self, leaves):
+        # The same leaves reach has_params in the same order, so the
+        # carried first level prunes exactly what re-deriving did.
+        for n in range(1, 31):
+            found = brute_force_solutions(n)
+            carried = leaves[:]
+            leaves.clear()
+            assert found == rederiving_dfs(n), n
+            assert carried == leaves, n
+            leaves.clear()
 
     def test_no_solution_contains_11(self):
         # The search only builds 11-free words.

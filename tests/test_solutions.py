@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from sqword.errors import (
     NotInPiError,
     TooShortError,
 )
-from sqword import solutions, squares
+from sqword import cli, solutions, squares
 from sqword.solutions import (
     Verdict,
     classify,
@@ -224,6 +225,20 @@ def find_params_unpruned(word, a_max=None, b_max=None):
     }
 
 
+def find_params_walk(word, a_max=None, b_max=None):
+    """``find_params`` before the b saturation: every pair the factor
+    language admits, each b up to ``b_max``, is tried with is_solution."""
+    a_max, b_max = solutions._bounds(word, a_max, b_max)
+    square = word + word
+    return {
+        Params(a, b)
+        for a in squares._levels(square, 1, a_max)
+        if (kinds := squares._derive(square, a)) is not None
+        for b in squares._levels(kinds, 0, b_max)
+        if squares._derive(kinds, b) is not None and is_solution(word, Params(a, b))
+    }
+
+
 class TestFindParams:
     def test_flagship(self):
         assert P10 in find_params("01010010")
@@ -360,6 +375,46 @@ class TestFindParams:
                 sums = prefix_sums(word, word)
                 assert -word.count("1") <= min(sums)
                 assert max(sums) <= word.count("0")
+
+
+WALK_BOUNDS = ((None, None), (3, 2), (1, 100), (100, 1), (5, 40), (40, 5))
+
+
+def zero_run_pairs(n):
+    # find_params(0^n): a is 2n - 1 or 2n, and every b up to 2n
+    return {Params(a, b) for a in (2 * n - 1, 2 * n) for b in range(2 * n + 1)}
+
+
+class TestSaturatedWalk:
+    def test_short_words_equal_the_walk(self):
+        words = [format(bits, f"0{n}b") for n in range(1, 12) for bits in range(1 << n)]
+        for word in words:
+            for bounds in WALK_BOUNDS:
+                assert find_params(word, *bounds) == find_params_walk(word, *bounds), (word, bounds)
+
+    @pytest.mark.parametrize("word", ["0" * 200, "01" * 100, "0" * 50 + "1" + "0" * 60])
+    def test_long_words_equal_the_walk(self, word):
+        for bounds in WALK_BOUNDS:
+            assert find_params(word, *bounds) == find_params_walk(word, *bounds), bounds
+        if "1" not in word:
+            assert find_params_walk(word) == zero_run_pairs(len(word))
+
+    @pytest.mark.parametrize("command", ["classify", "check"])
+    def test_cli_tries_each_saturated_b_once(self, monkeypatch, capsys, command):
+        # The walk tries all 8,002 pairs of 0^2000, one 4,000-letter parse
+        # each; the saturated search tries b = 0 and 1 at a = 3999 and b = 0
+        # at a = 4000, and classify adds its root 0.
+        calls = []
+
+        def counting(w, p):
+            calls.append(p)
+            return is_solution(w, p)
+
+        monkeypatch.setattr("sqword.solutions.is_solution", counting)
+        assert cli.main([command, "--word", "0" * 2000]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["params"] == [[p.a, p.b] for p in sorted(zero_run_pairs(2000))]
+        assert len(calls) <= 8
 
 
 class TestDecompose:

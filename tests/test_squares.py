@@ -234,6 +234,21 @@ class TestLanguage:
                 huge = in_language(word, Params(a, 10**9))
                 assert huge == nfa_in_language(word, Params(a, len(word) + 5)), (word, a)
 
+    def test_kinds_word_saturates_b(self):
+        # Each kinds letter stands for a block of at least a + 1 letters, so
+        # no b past |w| // (a + 1) changes the second level: the saturation
+        # point of _language_params.
+        checks = 0
+        for n in range(15):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                for a in range(1, n + 3):
+                    kinds = squares._derive(word, a)
+                    if kinds is not None:
+                        assert len(kinds) <= n // (a + 1), (word, a, kinds)
+                        checks += 1
+        assert checks == 1689
+
     def test_huge_params_stay_small(self):
         words = ["0101", "0101001001010010", "1" + "0" * 50, "10" * 40]
 
