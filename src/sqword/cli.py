@@ -223,8 +223,9 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
         if not args.word:
             raise DomainError("kind 'sl' needs --word with a reversed standard block")
         block = check_binary(args.word)
-        # |Z(j+1)| = (2c + 1) |Zj|, and the stream builds whole the even chain
-        # word whose square covers the length: cap it before it is built
+        # |Z(j+1)| = (2c + 1) |Zj|.  The stream reads the even chain square that
+        # covers the length off the index tuples of the chain level before it,
+        # which cover 2 |Z(j+1)| letters each: capping the chain word caps them
         chain_len = len(block)
         while args.c >= 1 and 2 * chain_len < args.length:
             chain_len *= (2 * args.c + 1) ** 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DomainError,
@@ -33,6 +33,7 @@ from .standard import natural_params
 from .words import are_conjugate, check_binary, exchange_first_two
 
 BlockFactory = Callable[[], Iterator[int]]
+Blocks = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -118,26 +119,51 @@ def fixed_point_solutions(block: str, c: int = 1) -> Iterator[str]:
 def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
     """The fixed point with prefixes Z0, Z2, Z4, ... as a block stream.
 
-    Each square Z2k Z2k is a prefix of the next, Z(2k+2) Z(2k+2), and a
-    complete parse ends on a block boundary, so the parse resumes where the
-    previous square ended: every letter of the chain squares is scanned once
-    and every block is emitted exactly once.
+    With Z = Zj and X = exchange(Zj), Z(j+1) = X Z^(2c) and, since |Zj| >= 2,
+    exchange(Z(j+1)) = Z^(2c+1).  So three words build every chain square:
+
+        Z(j+1) Z(j+1)           = (XZ) (ZZ)^(c-1) (ZX) (ZZ)^c
+        exchange(Z(j+1)) Z(j+1) = (ZZ)^c (ZX) (ZZ)^c
+        Z(j+1) exchange(Z(j+1)) = (XZ) (ZZ)^(2c)
+
+    No minimal square is a prefix of another, so joining complete
+    factorizations gives the factorization of the joined word, and the
+    block tuples ``xz, zz, zx`` of level j give those of level j+1:
+
+        zz' = xz + zz*(c-1) + zx + zz*c
+        xz' = zz*c + zx + zz*c
+        zx' = xz + zz*(2c)
+
+    Only the three pieces of the block are parsed, when the stream is made;
+    one that does not factor completely raises NotInPiError.  The stream
+    emits Z0 Z0 and then, for each further even square Z(j+2) Z(j+2), the
+    blocks past Zj Zj, read lazily off the level-(j+1) tuples (xz' starts
+    with zz); a level is built only when every block before it has been read.
     """
     params = _chain_params(block, c)
+    swapped = exchange_first_two(block)
+    base = []
+    for name, word in (("X0 Z0", swapped + block), ("Z0 Z0", block + block),
+                       ("Z0 X0", block + swapped)):
+        fact = _parse(word, params)
+        if not fact.complete:
+            raise NotInPiError(
+                f"fixed-point piece {name} failed to factor at position {fact.consumed}"
+            )
+        base.append(fact.indices)
 
-    def chain_squares() -> Iterator[tuple[int, ...]]:
+    def step(xz: Blocks, zz: Blocks, zx: Blocks) -> tuple[Blocks, Blocks, Blocks]:
+        return zz * c + zx + zz * c, xz + zz * (c - 1) + zx + zz * c, xz + zz * (2 * c)
+
+    def chain_squares() -> Iterator[Iterable[int]]:
         # a fresh chain per call: prefix_blocks asks for a new iterator each time
-        pos = 0
-        for word in islice(_chain(block, c), 0, None, 2):
-            # (word + word)[pos:] without the doubled word: pos <= len(word),
-            # since the even chain grows (2c + 1)^2-fold
-            fact = _parse(word[pos:] + word, params)
-            if not fact.complete:
-                raise NotInPiError(
-                    f"fixed-point prefix failed to factor at position {pos + fact.consumed}"
-                )
-            yield fact.indices
-            pos = 2 * len(word)
+        xz, zz, zx = base
+        yield zz
+        while True:
+            emitted = len(zz)
+            xz, zz, zx = step(xz, zz, zx)
+            yield chain(islice(xz, emitted, None), *repeat(zz, c - 1), zx, *repeat(zz, c))
+            xz, zz, zx = step(xz, zz, zx)
 
     return SquareStream(
         params,

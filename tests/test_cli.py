@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -439,3 +440,18 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     monkeypatch.setattr("sqword.cli.doubling_orbits", lambda n: built.append(n) or ())
     run_json(capsys, "orbits", "--n", str(10**6))
     assert built == [(10**7,), 33, 10**7 + 2, 10**6]
+
+
+def test_fixedpoint_at_the_c_cap_builds_only_what_it_prints(capsys):
+    # Z(j+1) = exchange(Zj) Zj^(2c) is read by index: 17 letters at c = 1117
+    # build the index tuples of one 2235-fold level, not the chain word
+    tracemalloc.start()
+    try:
+        env = run_json(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
+                       "--c", "1117", "--length", "17")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert env["result"]["prefix"] == ("01010010" * 3)[:20]
+    assert env["result"]["blocks"] == [2, 1, 6, 2]
+    assert peak < 20 * 2**20

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import pytest
@@ -31,7 +32,7 @@ from sqword.squares import (
     parse,
     square_root,
 )
-from sqword.standard import natural_params, standard_from_directive
+from sqword.standard import central_word, natural_params, standard_from_directive
 from sqword.words import are_conjugate, exchange_first_two
 
 P10 = Params(1, 0)
@@ -58,6 +59,23 @@ def reparse_stream(block: str, c: int) -> SquareStream:
             emitted = len(fact.indices)
 
     return SquareStream(params, gen, f"re-parsed fixed point over {block}")
+
+
+def admissible_blocks(max_len: int):
+    """Every reversed standard block of up to *max_len* letters that the
+    solution chain accepts: natural parameters, longer than the sixth root.
+    The standard words of length d are u01 and u10, u the central word of a
+    slope c/d."""
+    words = set()
+    for d in range(2, max_len + 1):
+        for c in range(1, d):
+            if math.gcd(c, d) == 1:
+                u = central_word(c, d)
+                words.update(((u + "01")[::-1], (u + "10")[::-1]))
+    for block in sorted(words, key=lambda w: (len(w), w)):
+        params = natural_params(block)
+        if params is not None and len(block) > len(minimal_square_roots(params)[5]):
+            yield block
 
 
 def verify_by_parsing(stream: SquareStream, target_len: int, iterations: int = 1) -> bool:
@@ -294,15 +312,28 @@ class TestResumedParse:
         stream = fixed_point_stream(block, c)
         assert stream.prefix_blocks(10**5) == reparse_stream(block, c).prefix_blocks(10**5)
 
-    def test_stuck_position_is_absolute(self, monkeypatch):
-        # Z2 with letter 40 flipped: the parse resumes at 16 = |Z0 Z0| and
-        # sticks 22 letters later, at position 38 of the square
-        z0, z1, z2 = itertools.islice(fixed_point_solutions(BLOCK, 1), 3)
-        bad = z2[:40] + ("1" if z2[40] == "0" else "0") + z2[41:]
-        assert parse(bad + bad, P10).consumed == 38
-        monkeypatch.setattr(sqword.dynamics, "_chain", lambda block, c: iter([z0, z1, bad]))
-        with pytest.raises(NotInPiError, match=r"at position 38$"):
-            fixed_point_stream(BLOCK, 1).prefix(100)
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_short_blocks_equal_reparsing_oracle(self, c):
+        for block in admissible_blocks(30):
+            stream = fixed_point_stream(block, c)
+            assert stream.prefix_blocks(5000) == reparse_stream(block, c).prefix_blocks(5000), block
+
+    def test_base_pieces_factor_completely(self):
+        # the recursion joins the factorizations of X0 Z0, Z0 Z0 and Z0 X0
+        blocks = list(admissible_blocks(100))
+        assert len(blocks) == 2294
+        for block in blocks:
+            params, swapped = natural_params(block), exchange_first_two(block)
+            for word in (swapped + block, block + block, block + swapped):
+                assert parse(word, params).complete, (block, word)
+
+    def test_stuck_base_piece(self, monkeypatch):
+        # exchange(Z0) with its last letter flipped: X0 Z0 sticks at position 6
+        bad = exchange_first_two(BLOCK)[:-1] + "1"
+        assert bad == "10010011" and parse(bad + BLOCK, P10).consumed == 6
+        monkeypatch.setattr(sqword.dynamics, "exchange_first_two", lambda word: bad)
+        with pytest.raises(NotInPiError, match=r"piece X0 Z0 failed to factor at position 6$"):
+            fixed_point_stream(BLOCK, 1)
 
     @pytest.mark.parametrize("n", [1, 17, 1000, 10**4])
     def test_greedy_parse_of_a_prefix_is_its_trace(self, n):
