@@ -36,7 +36,7 @@ from .words import check_binary, slope
 
 # Caps on request sizes, so that no input can exhaust memory or run for
 # minutes: brute force keeps only O(n) prefixes on its stack but its time
-# grows by about 1.18^n (n = 60 takes 5 to 9 s on a 2-core box), the
+# grows with n (n = 60 takes about 0.5 s through the CLI on a 2-core box), the
 # formula factors n, its divisors and their totients by trial division (the
 # widest range ending at 10^6 takes about 4 s on that box), the word 0 is a
 # solution for every (a, b) within explicit bounds, and the orbit partition
@@ -224,13 +224,19 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
             raise DomainError("kind 'sl' needs --word with a reversed standard block")
         block = check_binary(args.word)
         # |Z(j+1)| = (2c + 1) |Zj|.  The stream reads the even chain square that
-        # covers the length off the index tuples of the chain level before it,
-        # which cover 2 |Z(j+1)| letters each: capping the chain word caps them
+        # covers the length off the three index tuples of the chain level
+        # before it, which cover 2 |Z(j+1)| letters each and are the largest
+        # thing it builds; each index stands for at least two letters.  At
+        # c = 1, 6 |Z(j+1)| = 2 |Z(j+2)|, so there the cap admits chain words
+        # of up to 4 * 10^7 letters
         chain_len = len(block)
         while args.c >= 1 and 2 * chain_len < args.length:
+            covered = 6 * chain_len * (2 * args.c + 1)
+            if covered > 8 * _MAX_LENGTH:
+                raise DomainError(
+                    f"the stream's index tuples are capped at {8 * _MAX_LENGTH} letters, got {covered}"
+                )
             chain_len *= (2 * args.c + 1) ** 2
-            if chain_len > 4 * _MAX_LENGTH:
-                raise DomainError(f"chain words are capped at {4 * _MAX_LENGTH}, got {chain_len}")
         stream = fixed_point_stream(block, args.c)
         for name in ("a", "b"):
             value, fixed = getattr(args, name), getattr(stream.params, name)

@@ -18,9 +18,14 @@ The factor language is closed under factors and holds the square of every
 solution, so the search drops each prefix that no parameter pair admits.
 Each prefix carries its first desubstitution, an (a, kinds, t) triple per
 live a: the kinds word its complete blocks commit and its trailing zero
-count t, so a letter costs O(1) at the first level and only a changed kinds
-word is derived again.  It reads only the language and ``has_params``,
-never the formula.
+count t, so a letter costs O(1) at the first level.  The second level, the
+b that hold a kinds word, is a bounded memo keyed on the kinds word alone.
+Once the kinds word has two 1s it pins b to at most two values, and a
+prefix ending in 1 keeps a only if, for one of them, its greedy square
+parse could still begin the square of a solution.  Both are exact: the
+memo gives what a walk over every b up to 2n gives, and the parse
+condition holds for every prefix of a solution.  The search reads only
+the language, the square parse and ``has_params``, never the formula.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
 from .solutions import has_params
-from .squares import _derive, _levels
+from .squares import Params, _derive, _join_roots, _levels, _squares, scan_minimal_squares
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -152,36 +157,57 @@ def count_solutions(n: int, brute: bool = False) -> CountReport:
     return CountReport(n=n, formula_count=formula, brute_count=brute_count, per_divisor=per)
 
 
-def _second_level(kinds: str, bound: int) -> bool:
-    # Whether some b <= bound holds the kinds word at the second level.
-    return any(_derive(kinds, b) is not None for b in _levels(kinds, 0, bound))
+# The searches for n = 1..60 ask about 8,600 distinct kinds words, each
+# along a few neighbouring branches, so a small table keeps most of the hits
+# and bounds its memory.
+@lru_cache(maxsize=2048)
+def _second_level(kinds: str) -> tuple[int, ...]:
+    # The b up to the kinds word's length that hold it at the second level;
+    # none if no b does.  _derive caps b at that length, so every larger b
+    # answers as that one does.
+    return tuple(b for b in _levels(kinds, 0, len(kinds)) if _derive(kinds, b) is not None)
 
 
-def _first_level(word: str, bound: int) -> list[tuple[int, str, int]]:
-    # The state of a word that ends in its second 1: each a <= bound that
-    # holds it, with the kinds word it commits and no trailing zeros.
+def _first_level(word: str) -> list[tuple[int, str, int]]:
+    # The state of a word that ends in its second 1: each a that holds it,
+    # with the kinds word it commits and no trailing zeros.  The zero run
+    # between the two 1s pins a below the word's length.
     return [
         (a, kinds, 0)
-        for a in _levels(word, 1, bound)
-        if (kinds := _derive(word, a)) is not None and _second_level(kinds, bound)
+        for a in _levels(word, 1, len(word))
+        if (kinds := _derive(word, a)) is not None and _second_level(kinds)
     ]
 
 
-def _append(live: list[tuple[int, str, int]], letter: str, bound: int) -> list[tuple[int, str, int]]:
+def _append(live: list[tuple[int, str, int]], letter: str) -> list[tuple[int, str, int]]:
     # The state after appending *letter*.  A 0 grows the tail 1 0^t up to
     # 1 0^(a+1), whose kinds letter 1 is provisional until the next 1; a 1
     # commits the tail as 0 (t = a) or 1 (t = a + 1).
     grown = []
     for a, kinds, t in live:
         if letter == "0":
-            if t < a or t == a and _second_level(kinds + "1", bound):
+            if t < a or t == a and _second_level(kinds + "1"):
                 grown.append((a, kinds, t + 1))
         elif t == a:
-            if _second_level(kinds + "0", bound):
+            if _second_level(kinds + "0"):
                 grown.append((a, kinds + "0", 0))
         elif t == a + 1:
             grown.append((a, kinds + "1", 0))
     return grown
+
+
+def _parses(word: str, a: int, kinds: str) -> bool:
+    # Whether *word* can still begin the square of a solution for a and one
+    # of the b that its kinds word pins (see brute_force_solutions).
+    for b in _second_level(kinds):
+        params = Params(a, b)
+        indices, q = scan_minimal_squares(word, params)
+        rest = word[q:]
+        if word.startswith(_join_roots(indices, params, q)) and any(
+            square.startswith(rest) for square in _squares(a, b)
+        ):
+            return True
+    return False
 
 
 def brute_force_solutions(n: int) -> list[str]:
@@ -197,12 +223,26 @@ def brute_force_solutions(n: int) -> list[str]:
     Each prefix carries its first desubstitution: once it has two 1s, the
     live (a, kinds, t) triples, one per a that still holds it, with the
     kinds word its complete blocks commit and the length t of its trailing
-    zero run.  Each letter updates them in O(1), and only a changed kinds
-    word is derived again, at the second level.
+    zero run.  Each letter updates them in O(1).  The second level reads a
+    memo of the b that hold each kinds word: ``_derive`` caps b at the
+    word's length, and every kinds word here, the provisional kinds + "1"
+    included, has at most n/2 + 1 < 2n letters, so the memo is keyed on
+    the kinds word alone.
+
+    When a 1 is appended, each live a whose committed kinds word has two 1s
+    (so b is one of at most two values) must also pass the square parse:
+    for some such b, the greedy minimal-square parse of the prefix p stops
+    at a q where its joined roots equal p[:q/2], and the rest p[q:] is a
+    proper prefix of one of the six squares of (a, b).  Every solution w
+    for (a, b) passes this at each of its prefixes p: w w parses into
+    minimal squares whose roots spell w; no minimal square is a prefix of
+    another, so the squares lying inside p are exactly p's own parse; the
+    next square starts at q and has p[q:] as a prefix; and the roots so far
+    spell w[:q/2] = p[:q/2].  So the prune drops no solution, and the
+    leaves still go to ``has_params``.
     """
     if n < 1:
         raise DomainError("brute_force_solutions needs n >= 1")
-    bound = 2 * n
     found = []
     stack = [("0", None)]
     while stack:
@@ -215,12 +255,18 @@ def brute_force_solutions(n: int) -> list[str]:
         if word[-1] == "0":
             child = word + "1"
             if live is not None:
-                grown = _append(live, "1", bound)
+                grown = _append(live, "1")
             else:
-                grown = _first_level(child, bound) if "1" in word else None
+                grown = _first_level(child) if "1" in word else None
+            if grown:
+                grown = [
+                    (a, kinds, t)
+                    for a, kinds, t in grown
+                    if kinds.count("1") < 2 or _parses(child, a, kinds)
+                ]
             if grown is None or grown:
                 stack.append((child, grown))
-        grown = None if live is None else _append(live, "0", bound)
+        grown = None if live is None else _append(live, "0")
         if grown is None or grown:
             stack.append((word + "0", grown))
     return found

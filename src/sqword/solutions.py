@@ -131,12 +131,14 @@ def find_params(word: str, a_max: int | None = None, b_max: int | None = None) -
 def has_params(word: str, a_max: int | None = None, b_max: int | None = None) -> bool:
     """Early-exit version of ``find_params(word) != set()``.
 
-    Bounds past twice the word length are clamped to it: those bounds
-    already decide solution-hood, so the answer is the same.
+    An ``a_max`` past twice the word length is clamped to it: that bound
+    already decides solution-hood, so the answer is the same.  A word with
+    fewer than two 1s would otherwise try every a up to ``a_max``.  Each b
+    is tried only up to 2|w| // (a + 1), past which every b answers alike,
+    so ``b_max`` needs no clamp.
     """
     a_max, b_max = _bounds(word, a_max, b_max)
-    limit = 2 * len(word)
-    a_max, b_max = min(a_max, limit), min(b_max, limit)
+    a_max = min(a_max, 2 * len(word))
     return any(is_solution(word, p) for p in _language_params(word + word, a_max, b_max))
 
 

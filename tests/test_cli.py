@@ -330,10 +330,11 @@ class TestCaps:
         [
             ["fixedpoint", "--kind", "sl", "--word", "01010010", "--length", str(10**12)],
             ["fixedpoint", "--kind", "nosquare", "--a", "1", "--length", str(10**7 + 1)],
-            # the chain word covering 17 letters has 8 * 2237^2 > 4 * 10^7 letters
-            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", "1118", "--length", "17"],
+            # the three index tuples below the chain square covering the length
+            # cover 6 * 8 * 1666667 > 8 * 10^7 letters, and 6 * 8 * 5^9 at c = 2
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", "833333", "--length", "17"],
             ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(10**9), "--length", "17"],
-            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", "2", "--length", str(10**7)],
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", "2", "--length", "6250001"],
             # the sixth square at b = 0 has 4a + 6 letters
             ["fixedpoint", "--kind", "nosquare", "--a", "2499999", "--length", "10"],
             ["fixedpoint", "--kind", "biperiodic", "--a", str(10**7), "--length", "10"],
@@ -398,8 +399,9 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     run_json(capsys, "list", "--n", "60")
     run_json(capsys, "list", "--n", "5", "--a-cap", "1000", "--b-cap", "1000")
     assert seen == [(60,), (None, None), (5,), (1000, 1000)]
-    # the largest chain words within 4 * 10^7 letters: 8 * 2235^2 at c = 1117
-    # and 8 * 9^7 = 38,263,752 at c = 1; the streams run at c = 1 with a stub prefix
+    # the largest index tuples within 8 * 10^7 letters: 6 * 8 * 1666665 at
+    # c = 833332, 6 * 8 * 3^13 at c = 1, and 6 * 8 * 5^7 below the square of
+    # Z8 = 8 * 5^8 letters at c = 2; the streams run at c = 1 with a stub prefix
     chains = []
     monkeypatch.setattr(
         "sqword.cli.fixed_point_stream", lambda w, c: chains.append(c) or fixed_point_stream(w, 1)
@@ -407,10 +409,10 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     monkeypatch.setattr(
         SquareStream, "prefix_blocks", lambda self, n: chains.append(n) or ("00", (1,))
     )
-    for c, length in (("1117", "17"), ("1", str(10**7)), ("2", str(10**5))):
+    for c, length in (("833332", "17"), ("1", str(10**7)), ("2", "6250000")):
         run_json(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
                  "--c", c, "--length", length)
-    assert chains == [1117, 17, 1, 10**7, 2, 10**5]
+    assert chains == [833332, 17, 1, 10**7, 2, 6250000]
     makers = []
     monkeypatch.setattr(
         "sqword.cli.no_square_prefix_word", lambda a: makers.append(a) or no_square_prefix_word(1)

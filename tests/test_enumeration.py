@@ -6,6 +6,7 @@ import pytest
 
 import sqword.enumeration
 from sqword.enumeration import (
+    _second_level,
     brute_force_solutions,
     count_solutions,
     divisor_count,
@@ -17,7 +18,7 @@ from sqword.enumeration import (
 )
 from sqword.errors import DomainError, NotADivisorError, NotCoprimeError
 from sqword.solutions import doubling_orbits, has_params
-from sqword.squares import _language_params
+from sqword.squares import _derive, _language_params, _levels, minimal_squares, parse
 
 # OEIS A000374: orbit counts of doubling mod n (first 21 terms).
 A000374 = [1, 1, 2, 1, 2, 2, 3, 1, 3, 2, 2, 2, 2, 3, 5, 1, 3, 3, 2, 2, 6]
@@ -64,10 +65,22 @@ def generate_and_test(n, a_cap=None, b_cap=None):
     return [w for w in _candidate_words(n) if has_params(w, a_cap, b_cap)]
 
 
-def rederiving_dfs(n):
+def parse_admits(word, params):
+    """Whether the greedy square parse of *word* can begin the square of a
+    solution for *params*: its roots spell the word's prefix of their
+    length, and the rest is a prefix of a minimal square."""
+    fact = parse(word, params)
+    rest = word[fact.consumed:]
+    return word.startswith(fact.root()) and any(s.startswith(rest) for s in minimal_squares(params))
+
+
+def rederiving_dfs(n, parsed=True):
     """The DFS that desubstituted each prefix from scratch: the oracle for
-    the state ``brute_force_solutions`` carries down the tree.  Its leaves
-    go through ``sqword.enumeration.has_params``, as the DFS's do."""
+    the state ``brute_force_solutions`` carries down the tree.  A child that
+    ends in 1 also needs, unless *parsed* is false, a pair whose kinds word
+    has fewer than two 1s (b is then not pinned) or that ``parse_admits``
+    it.  Its leaves go through ``sqword.enumeration.has_params``, as the
+    DFS's do."""
     bound = 2 * n
     found = []
     stack = ["0"]
@@ -78,9 +91,19 @@ def rederiving_dfs(n):
                 found.append(word)
             continue
         for child in (word + "1", word + "0") if word[-1] == "0" else (word + "0",):
-            if child.count("1") < 2 or next(_language_params(child, bound, bound), None) is not None:
+            checks_parse = parsed and child[-1] == "1"
+            if child.count("1") < 2 or any(
+                not checks_parse or _derive(child, p.a).count("1") < 2 or parse_admits(child, p)
+                for p in _language_params(child, bound, bound)
+            ):
                 stack.append(child)
     return found
+
+
+def bound_walk(kinds, bound):
+    """The second level as a walk up to an explicit bound: the b <= bound
+    that hold the kinds word."""
+    return [b for b in _levels(kinds, 0, bound) if _derive(kinds, b) is not None]
 
 
 def order_walk(d: int) -> int:
@@ -245,14 +268,18 @@ class TestBruteForce:
             assert brute_force_solutions(n) == generate_and_test(n), n
 
     def test_pruning_bounds_the_leaves(self, leaves):
-        # Generate-and-test would check 5.7 M words at n = 33; the pruned
-        # search reaches 1,863 words of full length.
+        # Generate-and-test would check 5.7 M words at n = 33; the language
+        # alone leaves 1,863 words of full length, and the square parse 784.
         assert len(brute_force_solutions(33)) == 19
+        assert len(leaves) == 784
+        leaves.clear()
+        assert len(rederiving_dfs(33, parsed=False)) == 19
         assert len(leaves) == 1863
 
     def test_carried_state_equals_rederiving(self, leaves):
         # The same leaves reach has_params in the same order, so the
-        # carried first level prunes exactly what re-deriving did.
+        # carried first level and the parse prune drop exactly what
+        # re-deriving and re-parsing each prefix did.
         for n in range(1, 31):
             found = brute_force_solutions(n)
             carried = leaves[:]
@@ -260,6 +287,41 @@ class TestBruteForce:
             assert found == rederiving_dfs(n), n
             assert carried == leaves, n
             leaves.clear()
+
+    def test_parse_prune_keeps_every_solution(self, leaves):
+        # The pruned leaves are a subsequence of the language-only ones and
+        # hold every solution: the parse condition is necessary.
+        for n in range(1, 31):
+            found = brute_force_solutions(n)
+            pruned = leaves[:]
+            leaves.clear()
+            solutions = rederiving_dfs(n, parsed=False)
+            assert set(solutions) <= set(pruned) and solutions == found, n
+            language = iter(leaves)
+            assert all(word in language for word in pruned), n
+            leaves.clear()
+
+    def test_memo_equals_bound_keyed_walk(self):
+        # _derive caps b at the kinds word's length, so every bound at or
+        # past it asks the same question, and the memo answers it.
+        for n in range(15):
+            for letters in itertools.product("01", repeat=n):
+                kinds = "".join(letters)
+                held = _second_level(kinds)
+                for bound in (n, n + 1, 2 * n + 2):
+                    walk = bound_walk(kinds, bound)
+                    assert list(held) == [b for b in walk if b <= n], (kinds, bound)
+                    assert all(_derive(kinds, b) == _derive(kinds, n) for b in walk if b > n)
+
+    def test_memo_is_keyed_on_the_kinds_word(self):
+        # Neither the search's pruning nor its memo depends on n, so a
+        # shorter search asks only kinds words that a longer one has asked.
+        _second_level.cache_clear()
+        brute_force_solutions(26)
+        asked = _second_level.cache_info()
+        assert asked.currsize == asked.misses < asked.maxsize
+        brute_force_solutions(24)
+        assert _second_level.cache_info().misses == asked.misses
 
     def test_no_solution_contains_11(self):
         # The search only builds 11-free words.

@@ -305,7 +305,7 @@ class TestFindParams:
             assert has_params(word) == bool(find_params(word, wide, wide)), word
 
     def test_clamped_has_params_equals_find_params(self):
-        # has_params clamps its bounds at 2|w| and find_params does not, so
+        # has_params clamps a_max at 2|w| and find_params does not, so
         # find_params is the oracle for bounds past the clamp
         words = [format(bits, f"0{n}b") for n in range(1, 9) for bits in range(1 << n)]
         checks = 0
@@ -319,18 +319,31 @@ class TestFindParams:
         assert checks == 3060
 
     def test_has_params_searches_within_the_clamp(self, monkeypatch):
-        # b_max = 10**5 used to walk every b up to it
-        seen = []
+        # b_max = 10**5 used to walk every b up to it: a_max is clamped at
+        # 2|w|, and each b walk stops at its saturation point 2|w| // (a + 1)
+        seen, tried = [], []
         language_params = solutions._language_params
 
         def recording(square, a_max, b_max):
             seen.append((a_max, b_max))
-            return language_params(square, a_max, b_max)
+            for p in language_params(square, a_max, b_max):
+                tried.append((len(square), p))
+                yield p
 
         monkeypatch.setattr(solutions, "_language_params", recording)
         assert not has_params("00010", None, 10**5)
         assert has_params("0", 10**5, 10**5)
-        assert seen == [(10, 10), (2, 2)]
+        assert seen == [(10, 10**5), (2, 10**5)]
+        assert tried and all(p.b <= n // (p.a + 1) for n, p in tried)
+
+    def test_b_bound_past_the_saturation_point_changes_nothing(self):
+        # with fewer than two 1s no zero run pins b, so has_params walks each
+        # b only up to its saturation point, however large b_max is
+        words = ["0" * n for n in range(1, 13)]
+        words += ["0" * i + "1" + "0" * (n - 1 - i) for n in range(1, 13) for i in range(n)]
+        for word in words:
+            for a in range(1, 2 * len(word) + 2):
+                assert has_params(word, a, 10**5) == has_params(word, a, 2 * len(word)), (word, a)
 
     def test_find_params_lists_pairs_past_the_clamp(self):
         assert find_params("0", 3, 100) == {Params(a, b) for a in (1, 2, 3) for b in range(101)}
