@@ -40,8 +40,10 @@ from .words import check_binary, slope
 # formula factors n, its divisors and their totients by trial division (the
 # widest range ending at 10^6 takes about 4 s on that box), the word 0 is a
 # solution for every (a, b) within explicit bounds, and the orbit partition
-# of 10^6 residues peaks at about 122 MB.
+# of 10^6 residues peaks at about 122 MB.  The `sl` stream's memory follows
+# --length alone; --c is capped only to keep its run counts (2c) machine-sized.
 _MAX_LENGTH = 10**7
+_MAX_C = 10**9
 _MAX_BRUTE_N = 60
 _MAX_COUNT_N = 10**6
 _MAX_RANGE_WIDTH = 10**4
@@ -223,20 +225,8 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
         if not args.word:
             raise DomainError("kind 'sl' needs --word with a reversed standard block")
         block = check_binary(args.word)
-        # |Z(j+1)| = (2c + 1) |Zj|.  The stream reads the even chain square that
-        # covers the length off the three index tuples of the chain level
-        # before it, which cover 2 |Z(j+1)| letters each and are the largest
-        # thing it builds; each index stands for at least two letters.  At
-        # c = 1, 6 |Z(j+1)| = 2 |Z(j+2)|, so there the cap admits chain words
-        # of up to 4 * 10^7 letters
-        chain_len = len(block)
-        while args.c >= 1 and 2 * chain_len < args.length:
-            covered = 6 * chain_len * (2 * args.c + 1)
-            if covered > 8 * _MAX_LENGTH:
-                raise DomainError(
-                    f"the stream's index tuples are capped at {8 * _MAX_LENGTH} letters, got {covered}"
-                )
-            chain_len *= (2 * args.c + 1) ** 2
+        if args.c > _MAX_C:
+            raise DomainError(f"--c is capped at {_MAX_C}, got {args.c}")
         stream = fixed_point_stream(block, args.c)
         for name in ("a", "b"):
             value, fixed = getattr(args, name), getattr(stream.params, name)
@@ -262,7 +252,7 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
         "description": stream.description,
         "length": len(prefix),
         "prefix": prefix,
-        "blocks": list(trace),
+        "blocks": trace,
     }
     return result, [prefix]
 

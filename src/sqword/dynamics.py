@@ -9,10 +9,11 @@ shifted square roots.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     DomainError,
@@ -31,6 +32,9 @@ from .squares import (
 )
 from .standard import natural_params
 from .words import are_conjugate, check_binary, exchange_first_two
+
+# the largest index tuple a stream level is built as, see fixed_point_stream
+_LEAF = 1 << 14
 
 BlockFactory = Callable[[], Iterator[int]]
 Blocks = tuple[int, ...]
@@ -85,6 +89,8 @@ def _chain_params(block: str, c: int) -> Params:
     check_binary(block)
     if c < 1:
         raise PreconditionFailedError("the power parameter c must be >= 1")
+    if 2 * c > sys.maxsize:
+        raise PreconditionFailedError(f"the power parameter c must be <= {sys.maxsize // 2}")
     params = natural_params(block)
     if params is None:
         raise PreconditionFailedError(
@@ -120,54 +126,57 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
     """The fixed point with prefixes Z0, Z2, Z4, ... as a block stream.
 
     With Z = Zj and X = exchange(Zj), Z(j+1) = X Z^(2c) and, since |Zj| >= 2,
-    exchange(Z(j+1)) = Z^(2c+1).  So three words build every chain square:
+    exchange(Z(j+1)) = Z^(2c+1).  No minimal square is a prefix of another,
+    so complete factorizations join, and the block sequences xz, zz, zx of
+    the pieces XZ, ZZ, ZX of level j give those of level j+1:
 
-        Z(j+1) Z(j+1)           = (XZ) (ZZ)^(c-1) (ZX) (ZZ)^c
-        exchange(Z(j+1)) Z(j+1) = (ZZ)^c (ZX) (ZZ)^c
-        Z(j+1) exchange(Z(j+1)) = (XZ) (ZZ)^(2c)
+        zz' = xz + tail_j,   xz' = zz + tail_j,   zx' = xz + zz*(2c),
+        where tail_j = zz*(c-1) + zx + zz*c.
 
-    No minimal square is a prefix of another, so joining complete
-    factorizations gives the factorization of the joined word, and the
-    block tuples ``xz, zz, zx`` of level j give those of level j+1:
+    So Z(j+2) Z(j+2) = Zj Zj tail_j tail_(j+1), and the stream is
+    Z0 Z0 tail_0 tail_1 ...  A level is built as flat tuples only while its
+    pieces fit in _LEAF indices; above that a piece is a lazy walk over the
+    level below, and runs repeat a flat piece by reference, so memory
+    follows the prefix read, not the chain level that covers it.
 
-        zz' = xz + zz*(c-1) + zx + zz*c
-        xz' = zz*c + zx + zz*c
-        zx' = xz + zz*(2c)
-
-    Only the three pieces of the block are parsed, when the stream is made;
-    one that does not factor completely raises NotInPiError.  The stream
-    emits Z0 Z0 and then, for each further even square Z(j+2) Z(j+2), the
-    blocks past Zj Zj, read lazily off the level-(j+1) tuples (xz' starts
-    with zz); a level is built only when every block before it has been read.
+    Only X0 Z0, Z0 Z0 and Z0 X0 are parsed, when the stream is made; one
+    that does not factor completely, or whose root is not its first half,
+    raises NotInPiError.  Roots of joined factorizations join, so from
+    root(X0 Z0) = X0 and root(Z0 Z0) = root(Z0 X0) = Z0 induction gives
+    root(xz') = Z^(2c+1) = exchange(Z(j+1)) and root(zz') = root(zx') =
+    Z(j+1): every Zj Zj has the root Zj, so the stream is a fixed point.
     """
     params = _chain_params(block, c)
     swapped = exchange_first_two(block)
     base = []
-    for name, word in (("X0 Z0", swapped + block), ("Z0 Z0", block + block),
-                       ("Z0 X0", block + swapped)):
-        fact = _parse(word, params)
+    for name, half, rest in (("X0 Z0", swapped, block), ("Z0 Z0", block, block),
+                             ("Z0 X0", block, swapped)):
+        fact = _parse(half + rest, params)
         if not fact.complete:
-            raise NotInPiError(
-                f"fixed-point piece {name} failed to factor at position {fact.consumed}"
-            )
+            raise NotInPiError(f"fixed-point piece {name} failed to factor at position {fact.consumed}")
+        if fact.root() != half:
+            raise NotInPiError(f"fixed-point piece {name} does not have the root {name[:2]}")
         base.append(fact.indices)
+    # the pieces xz, zz, zx (0, 1, 2) of level j + 1 as runs of level-j pieces
+    tail = ((1, c - 1), (2, 1), (1, c))
+    recipes = (((1, 1), *tail), ((0, 1), *tail), ((0, 1), (1, 2 * c)))
+    levels = [tuple(base)]
 
-    def step(xz: Blocks, zz: Blocks, zx: Blocks) -> tuple[Blocks, Blocks, Blocks]:
-        return zz * c + zx + zz * c, xz + zz * (c - 1) + zx + zz * c, xz + zz * (2 * c)
+    def leaves(j: int, runs) -> Iterator[Blocks]:
+        # the flat tuples that spell the runs of (piece, times) over level j
+        if j < len(levels):
+            return chain.from_iterable(repeat(levels[j][p], n) for p, n in runs)
+        return chain.from_iterable(leaves(j - 1, recipes[p]) for p, n in runs for _ in range(n))
 
-    def chain_squares() -> Iterator[Iterable[int]]:
-        # a fresh chain per call: prefix_blocks asks for a new iterator each time
-        xz, zz, zx = base
-        yield zz
-        while True:
-            emitted = len(zz)
-            xz, zz, zx = step(xz, zz, zx)
-            yield chain(islice(xz, emitted, None), *repeat(zz, c - 1), zx, *repeat(zz, c))
-            xz, zz, zx = step(xz, zz, zx)
-
+    while max(sum(n * len(levels[-1][p]) for p, n in runs) for runs in recipes) <= _LEAF:
+        last = len(levels) - 1
+        levels.append(tuple(tuple(chain.from_iterable(leaves(last, runs))) for runs in recipes))
     return SquareStream(
         params,
-        lambda: chain.from_iterable(chain_squares()),
+        # a fresh walk per call: prefix_blocks asks for a new iterator each time
+        lambda: chain.from_iterable(
+            chain([levels[0][1]], chain.from_iterable(leaves(j, tail) for j in count()))
+        ),
         f"square-root fixed point over {block}",
     )
 

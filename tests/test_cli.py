@@ -330,11 +330,11 @@ class TestCaps:
         [
             ["fixedpoint", "--kind", "sl", "--word", "01010010", "--length", str(10**12)],
             ["fixedpoint", "--kind", "nosquare", "--a", "1", "--length", str(10**7 + 1)],
-            # the three index tuples below the chain square covering the length
-            # cover 6 * 8 * 1666667 > 8 * 10^7 letters, and 6 * 8 * 5^9 at c = 2
-            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", "833333", "--length", "17"],
-            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(10**9), "--length", "17"],
-            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", "2", "--length", "6250001"],
+            # --c is capped at 10^9 at any length; the last two are past the
+            # library's own bound 2c <= sys.maxsize too
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(10**9 + 1), "--length", "17"],
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(5 * 10**18), "--length", "17"],
+            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(10**19), "--length", "17"],
             # the sixth square at b = 0 has 4a + 6 letters
             ["fixedpoint", "--kind", "nosquare", "--a", "2499999", "--length", "10"],
             ["fixedpoint", "--kind", "biperiodic", "--a", str(10**7), "--length", "10"],
@@ -399,9 +399,8 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     run_json(capsys, "list", "--n", "60")
     run_json(capsys, "list", "--n", "5", "--a-cap", "1000", "--b-cap", "1000")
     assert seen == [(60,), (None, None), (5,), (1000, 1000)]
-    # the largest index tuples within 8 * 10^7 letters: 6 * 8 * 1666665 at
-    # c = 833332, 6 * 8 * 3^13 at c = 1, and 6 * 8 * 5^7 below the square of
-    # Z8 = 8 * 5^8 letters at c = 2; the streams run at c = 1 with a stub prefix
+    # --c up to 10^9 at any length, the stream's memory following the length;
+    # the streams run at c = 1 with a stub prefix
     chains = []
     monkeypatch.setattr(
         "sqword.cli.fixed_point_stream", lambda w, c: chains.append(c) or fixed_point_stream(w, 1)
@@ -409,10 +408,11 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     monkeypatch.setattr(
         SquareStream, "prefix_blocks", lambda self, n: chains.append(n) or ("00", (1,))
     )
-    for c, length in (("833332", "17"), ("1", str(10**7)), ("2", "6250000")):
+    limits = [(10**9, 17), (833333, 17), (1, 10**7), (2, 6250001), (2, 10**7)]
+    for c, length in limits:
         run_json(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
-                 "--c", c, "--length", length)
-    assert chains == [833332, 17, 1, 10**7, 2, 6250000]
+                 "--c", str(c), "--length", str(length))
+    assert chains == [n for limit in limits for n in limit]
     makers = []
     monkeypatch.setattr(
         "sqword.cli.no_square_prefix_word", lambda a: makers.append(a) or no_square_prefix_word(1)
@@ -445,12 +445,12 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
 
 
 def test_fixedpoint_at_the_c_cap_builds_only_what_it_prints(capsys):
-    # Z(j+1) = exchange(Zj) Zj^(2c) is read by index: 17 letters at c = 1117
-    # build the index tuples of one 2235-fold level, not the chain word
+    # Z(j+1) = exchange(Zj) Zj^(2c) is walked lazily: 17 letters at c = 10^9
+    # repeat the base piece Z0 Z0 by reference, and no level is built
     tracemalloc.start()
     try:
         env = run_json(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
-                       "--c", "1117", "--length", "17")
+                       "--c", str(10**9), "--length", "17")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -199,6 +201,12 @@ class TestSolutionChain:
             fixed_point_solutions("0101", 1)  # not reversed standard
         with pytest.raises(PreconditionFailedError):
             fixed_point_solutions(BLOCK, 0)
+        # the stream's run counts of 2c must be machine-sized
+        for c in (sys.maxsize // 2 + 1, 5 * 10**18, 10**19):
+            for make in (fixed_point_solutions, fixed_point_stream):
+                with pytest.raises(PreconditionFailedError, match=r"c must be <= \d+$"):
+                    make(BLOCK, c)
+        assert fixed_point_stream(BLOCK, sys.maxsize // 2).prefix(17) == (BLOCK * 3)[:20]
 
 
 class TestStreams:
@@ -313,19 +321,46 @@ class TestResumedParse:
         assert stream.prefix_blocks(10**5) == reparse_stream(block, c).prefix_blocks(10**5)
 
     @pytest.mark.parametrize("c", [1, 2, 3])
-    def test_short_blocks_equal_reparsing_oracle(self, c):
+    def test_short_blocks_equal_reparsing_oracle(self, c, monkeypatch):
+        # leaves of one and two indices walk every level lazily from the base
         for block in admissible_blocks(30):
-            stream = fixed_point_stream(block, c)
-            assert stream.prefix_blocks(5000) == reparse_stream(block, c).prefix_blocks(5000), block
+            expected = reparse_stream(block, c).prefix_blocks(5000)
+            for leaf in (1, 2, 1 << 14):
+                monkeypatch.setattr(sqword.dynamics, "_LEAF", leaf)
+                assert fixed_point_stream(block, c).prefix_blocks(5000) == expected, (block, leaf)
 
     def test_base_pieces_factor_completely(self):
-        # the recursion joins the factorizations of X0 Z0, Z0 Z0 and Z0 X0
+        # the recursion joins the factorizations of X0 Z0, Z0 Z0 and Z0 X0,
+        # and the fixed-point certificate their roots X0, Z0 and Z0
         blocks = list(admissible_blocks(100))
         assert len(blocks) == 2294
         for block in blocks:
             params, swapped = natural_params(block), exchange_first_two(block)
-            for word in (swapped + block, block + block, block + swapped):
-                assert parse(word, params).complete, (block, word)
+            for half, rest in ((swapped, block), (block, block), (block, swapped)):
+                fact = parse(half + rest, params)
+                assert fact.complete and fact.root() == half, (block, half + rest)
+
+    def test_base_piece_with_another_root(self, monkeypatch):
+        # exchange(Z0) with its last two letters swapped: X0 Z0 factors
+        # completely, but its root is not X0
+        bad = exchange_first_two(BLOCK)[:-2] + "01"
+        fact = parse(bad + BLOCK, P10)
+        assert bad == "10010001" and fact.complete and fact.root() == "10001010"
+        monkeypatch.setattr(sqword.dynamics, "exchange_first_two", lambda word: bad)
+        with pytest.raises(NotInPiError, match=r"piece X0 Z0 does not have the root X0$"):
+            fixed_point_stream(BLOCK, 1)
+
+    def test_prefix_memory_follows_the_length(self):
+        # the chain level covering 10^6 letters is walked, not built: the
+        # peak is the prefix, its trace and leaves of at most _LEAF indices
+        stream = fixed_point_stream(BLOCK, 1)
+        tracemalloc.start()
+        try:
+            stream.prefix_blocks(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_stuck_base_piece(self, monkeypatch):
         # exchange(Z0) with its last letter flipped: X0 Z0 sticks at position 6
