@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Every command prints a JSON envelope {"command", "inputs", "result",
-"version"} by default; ``--format csv`` produces plain ``n,count`` rows for
-counting and ``--format text`` a minimal human-readable form.  ``--format``
-may come before or after the command; when both are given the later one
-wins.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
+"version"} by default; ``--format csv`` and ``--format text`` print the same
+plain lines instead: ``n,count`` rows for counting and a minimal
+human-readable form elsewhere.  ``--format`` may come before or after the
+command; when both are given the later one wins.  Exit codes: 0 success,
+1 domain errors, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ from .words import check_binary, slope
 # grows with n (n = 60 takes about 0.5 s through the CLI on a 2-core box), the
 # formula factors n, its divisors and their totients by trial division (the
 # widest range ending at 10^6 takes about 4 s on that box), the word 0 is a
-# solution for every (a, b) within explicit bounds, and the orbit partition
-# of 10^6 residues peaks at about 122 MB.  The `sl` stream's memory follows
-# --length alone; --c is capped only to keep its run counts (2c) machine-sized.
+# solution for every (a, b) within explicit bounds, and `orbits --n 10^6`
+# peaks at about 72 MB of RSS (115 MB with --format text, whose longest line
+# lists 800,000 residues).  The `sl` stream's memory follows --length alone;
+# --c is capped only to keep its run counts (2c) machine-sized.
 _MAX_LENGTH = 10**7
 _MAX_C = 10**9
 _MAX_BRUTE_N = 60
@@ -180,18 +182,19 @@ def _check_count(n: int, brute: bool) -> None:
 
 
 def _cmd_count(args) -> tuple[object, list[str]]:
+    # --n N is the range N..N, answered as one object instead of a list
     if args.range:
         lo, hi = _parse_range(args.range)
         if hi - lo + 1 > _MAX_RANGE_WIDTH:
             raise DomainError(f"--range is capped at {_MAX_RANGE_WIDTH} lengths, got {lo}..{hi}")
-        _check_count(hi, args.brute)
-        reports = [count_solutions(n, brute=args.brute) for n in range(lo, hi + 1)]
-        result = [r.to_json() for r in reports]
-        lines = [f"{r.n},{r.formula_count}" for r in reports]
-        return result, lines
-    _check_count(args.n, args.brute)
-    report = count_solutions(args.n, brute=args.brute)
-    return report.to_json(), [f"{report.n},{report.formula_count}"]
+    elif args.n is not None:
+        lo = hi = args.n
+    else:
+        raise argparse.ArgumentTypeError("count needs --n or --range")
+    _check_count(hi, args.brute)
+    reports = [count_solutions(n, brute=args.brute) for n in range(lo, hi + 1)]
+    result = [r.to_json() for r in reports]
+    return (result if args.range else result[0]), [f"{r.n},{r.formula_count}" for r in reports]
 
 
 def _cmd_list(args) -> tuple[dict, list[str]]:
@@ -202,17 +205,13 @@ def _cmd_list(args) -> tuple[dict, list[str]]:
     return result, found
 
 
-def _cmd_orbits(args) -> tuple[dict, list[str]]:
+def _cmd_orbits(args) -> tuple[dict, Iterable[str]]:
     if args.n > _MAX_ORBITS_N:
         raise DomainError(f"--n is capped at {_MAX_ORBITS_N}, got {args.n}")
     orbits = doubling_orbits(args.n)
-    result = {
-        "n": args.n,
-        "orbit_count": len(orbits),
-        "orbits": [list(o) for o in orbits],
-    }
-    lines = [" ".join(str(i) for i in orbit) for orbit in orbits]
-    return result, lines
+    result = {"n": args.n, "orbit_count": len(orbits), "orbits": orbits}
+    # json.dumps writes the tuples as lists; the lines are built only if printed
+    return result, (" ".join(map(str, orbit)) for orbit in orbits)
 
 
 _STREAM_KINDS = ("sl", "nosquare", "biperiodic")
@@ -341,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "count" and args.n is None and not args.range:
-        parser.error("count needs --n or --range")
     try:
         # looked up by name at call time, so that wrappers installed on the
         # module are the ones that run

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, count, islice, repeat
 from typing import Callable, Iterator
 
@@ -25,10 +25,10 @@ from .errors import (
 from .squares import (
     Params,
     _join_roots,
-    _parse,
+    _s6_length,
     in_language,
-    minimal_square_roots,
     minimal_squares,
+    parse,
 )
 from .standard import natural_params
 from .words import are_conjugate, check_binary, exchange_first_two
@@ -96,10 +96,10 @@ def _chain_params(block: str, c: int) -> Params:
         raise PreconditionFailedError(
             f"{block!r} is not a reversed standard word with usable parameters"
         )
-    s6 = minimal_square_roots(params)[5]
-    if len(block) <= len(s6):
+    s6 = _s6_length(params)
+    if len(block) <= s6:
         raise PreconditionFailedError(
-            f"block length {len(block)} does not exceed the sixth root length {len(s6)}"
+            f"block length {len(block)} does not exceed the sixth root length {s6}"
         )
     return params
 
@@ -108,6 +108,11 @@ def _chain(block: str, c: int) -> Iterator[str]:
     word = block
     while True:
         yield word
+        # |Z(j+1)| = (2c + 1)|Zj|: past sys.maxsize the string cannot be built
+        if (2 * c + 1) * len(word) > sys.maxsize:
+            raise PreconditionFailedError(
+                f"the chain word after {len(word)} letters would exceed {sys.maxsize} letters"
+            )
         word = exchange_first_two(word) + word * (2 * c)
 
 
@@ -116,7 +121,8 @@ def fixed_point_solutions(block: str, c: int = 1) -> Iterator[str]:
 
     Every yielded word is a solution; Zn is a prefix of Z(n+2), so the even
     and odd subsequences converge to a fixed point of the square-root map
-    and its first-two-letter exchange.
+    and its first-two-letter exchange.  Asking for a word longer than
+    sys.maxsize letters raises PreconditionFailedError.
     """
     _chain_params(block, c)
     return _chain(block, c)
@@ -151,7 +157,7 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
     base = []
     for name, half, rest in (("X0 Z0", swapped, block), ("Z0 Z0", block, block),
                              ("Z0 X0", block, swapped)):
-        fact = _parse(half + rest, params)
+        fact = parse(half + rest, params)
         if not fact.complete:
             raise NotInPiError(f"fixed-point piece {name} failed to factor at position {fact.consumed}")
         if fact.root() != half:
@@ -235,12 +241,7 @@ class PeriodReport:
     conjugate_to: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "preperiod": self.preperiod,
-            "period": self.period,
-            "period_word": self.period_word,
-            "conjugate_to": self.conjugate_to,
-        }
+        return asdict(self)
 
 
 def detect_period(
@@ -312,7 +313,7 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
     # one entry per block: let it go before the later parses build their own
     del trace
     for _ in range(iterations - 1):
-        current = _parse(current, stream.params).root()
+        current = parse(current, stream.params).root()
         if not current:
             raise EmptyAfterTrimError(
                 f"stream {stream.description!r} root vanished after trimming"
@@ -337,7 +338,7 @@ def find_periodic_shift(stream: SquareStream, block: str) -> tuple[int, PeriodRe
     need = max_offset + 2 * min_root_len + 4 * length + 8
     word = stream.prefix(need)
     for offset in range(max_offset + 1):
-        root = _parse(word[offset:], stream.params).root()
+        root = parse(word[offset:], stream.params).root()
         if len(root) < min_root_len:
             continue
         report = detect_period(root, max_period=length, reference=block)

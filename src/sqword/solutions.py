@@ -22,7 +22,9 @@ from .errors import (
     NotDecomposableError,
     TooShortError,
 )
-from .squares import Params, _join_roots, _language_params, in_language, scan_minimal_squares
+from .squares import (
+    Params, _join_roots, _language_params, _s6_length, in_language, scan_minimal_squares
+)
 from .standard import central_word, is_reversed_standard
 from .words import check_binary, exchange_first_two, primitive_root
 
@@ -129,16 +131,8 @@ def find_params(word: str, a_max: int | None = None, b_max: int | None = None) -
 
 
 def has_params(word: str, a_max: int | None = None, b_max: int | None = None) -> bool:
-    """Early-exit version of ``find_params(word) != set()``.
-
-    An ``a_max`` past twice the word length is clamped to it: that bound
-    already decides solution-hood, so the answer is the same.  A word with
-    fewer than two 1s would otherwise try every a up to ``a_max``.  Each b
-    is tried only up to 2|w| // (a + 1), past which every b answers alike,
-    so ``b_max`` needs no clamp.
-    """
+    """Early-exit version of ``find_params(word) != set()``."""
     a_max, b_max = _bounds(word, a_max, b_max)
-    a_max = min(a_max, 2 * len(word))
     return any(is_solution(word, p) for p in _language_params(word + word, a_max, b_max))
 
 
@@ -218,10 +212,6 @@ class Classification:
         }
 
 
-def _sixth_root_length(p: Params) -> int:
-    return (p.a + 2) + (p.b + 1) * (p.a + 1)
-
-
 def classify(word: str, a_max: int | None = None, b_max: int | None = None) -> Classification:
     """Classify *word* as type I, type II, a power of a primitive solution,
     or not a solution at all (within the parameter bounds).
@@ -250,9 +240,7 @@ def classify(word: str, a_max: int | None = None, b_max: int | None = None) -> C
         raise ClassificationContradictionError(
             f"primitive non-standard solution {word!r} has no block decomposition"
         ) from exc
-    witness = next(
-        (p for p in params if len(block) > _sixth_root_length(p)), None
-    )
+    witness = next((p for p in params if len(block) > _s6_length(p)), None)
     if (
         len(pattern) <= 1
         or not is_pattern_word(pattern)

@@ -61,6 +61,11 @@ def _roots(a: int, b: int) -> tuple[str, ...]:
     )
 
 
+def _s6_length(params: Params) -> int:
+    # |s6| = |1 0^(a+1)| + (b + 1) |1 0^a|, without building the root
+    return (params.a + 2) + (params.b + 1) * (params.a + 1)
+
+
 @lru_cache(maxsize=64)
 def _squares(a: int, b: int) -> tuple[str, ...]:
     return tuple(r + r for r in _roots(a, b))
@@ -134,7 +139,10 @@ def _language_params(word: str, a_max: int, b_max: int) -> Iterator[Params]:
     # that saturation point answers as it does, here and in every parse of
     # the word: _window caps the parse's b there, and each kinds letter
     # stands for a block of at least a + 1 letters, so the kinds word has at
-    # most that many letters and _derive caps b at its length.
+    # most that many letters and _derive caps b at its length.  With no b to
+    # try there is no pair, whatever a_max is.
+    if b_max < 0:
+        return
     for a in _levels(word, 1, a_max):
         kinds = _derive(word, a)
         if kinds is not None:
@@ -211,18 +219,13 @@ class SquareFactorization:
         return _join_roots(self.indices, self.params, self.consumed)
 
 
-def _parse(word: str, params: Params) -> SquareFactorization:
-    # For words the package built itself; public entry points validate first.
-    indices, consumed = scan_minimal_squares(word, params)
-    return SquareFactorization(tuple(indices), params, consumed, consumed == len(word))
-
-
 def parse(word: str, params: Params) -> SquareFactorization:
     """The greedy minimal-square factorization of *word*, stopping where no
     square matches.  Every square-root view derives from it; the factor
     language is not checked here."""
     check_binary(word)
-    return _parse(word, params)
+    indices, consumed = scan_minimal_squares(word, params)
+    return SquareFactorization(tuple(indices), params, consumed, consumed == len(word))
 
 
 def square_root(word: str, params: Params, trim: bool = False) -> str:

@@ -83,6 +83,16 @@ class TestCountCommand:
         with pytest.raises(SystemExit) as exc:
             main(["count"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("sqword: error: count needs --n or --range\n")
+
+    def test_n_is_the_one_length_range(self, capsys):
+        single = run_json(capsys, "count", "--n", "24")["result"]
+        assert isinstance(single, dict)
+        assert run_json(capsys, "count", "--range", "24..24")["result"] == [single]
+        # --range wins over --n
+        ranged = run_json(capsys, "count", "--range", "2..4")["result"]
+        assert run_json(capsys, "count", "--n", "5", "--range", "2..4")["result"] == ranged
+        assert [r["n"] for r in ranged] == [2, 3, 4]
 
     @pytest.mark.parametrize("text", ["a..b", "5"])
     def test_bad_range(self, capsys, text):
@@ -230,6 +240,7 @@ class TestOtherCommands:
         env = run_json(capsys, "orbits", "--n", "7")
         assert env["result"]["orbit_count"] == 3
         assert env["result"]["orbits"] == [[0], [1, 2, 4], [3, 5, 6]]
+        assert run_cli(capsys, "--format", "text", "orbits", "--n", "7") == (0, "0\n1 2 4\n3 5 6\n", "")
 
     def test_fixedpoint_sl(self, capsys):
         env = run_json(
@@ -266,6 +277,7 @@ class TestOtherCommands:
         env = run_json(capsys, "period", "--word", "0010101", "--max-period", "4")
         assert env["result"]["preperiod"] == 1
         assert env["result"]["period"] == 2
+        assert list(env["result"]) == ["preperiod", "period", "period_word", "conjugate_to", "word"]
 
     def test_period_with_a_huge_max_period(self, capsys):
         # only periods up to half the word can qualify, so this is instant
@@ -294,6 +306,23 @@ class TestOtherCommands:
         # handlers are looked up at call time, so a replaced one runs
         monkeypatch.setattr("sqword.cli._cmd_orbits", lambda args: ({"n": args.n}, ["stub"]))
         assert run_cli(capsys, "--format", "text", "orbits", "--n", "7") == (0, "stub\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check"], "a word is required (use --word or --word-file)"),
+            (["check", "--word", ""], "solutions are nonempty"),
+            (["fixedpoint", "--kind", "nosquare", "--length", "10"], "kind 'nosquare' needs --a"),
+            (["fixedpoint", "--kind", "biperiodic", "--a", "1", "--b", "1", "--length", "10"],
+             "kind 'biperiodic' is defined for b = 0 only"),
+            (["fixedpoint", "--kind", "sl", "--word", "01010010", "--length", "0"],
+             "prefix length must be >= 1"),
+            (["orbits", "--n", "0"], "orbit partition needs n >= 1"),
+            (["gen", "fibonacci", "--k", "-2"], "fibonacci index must be >= -1"),
+        ],
+    )
+    def test_domain_error(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,6 +22,7 @@ from sqword.dynamics import (
 from sqword.errors import (
     DomainError,
     EmptyAfterTrimError,
+    EmptyWordError,
     NotInPiError,
     PreconditionFailedError,
 )
@@ -207,6 +208,11 @@ class TestSolutionChain:
                 with pytest.raises(PreconditionFailedError, match=r"c must be <= \d+$"):
                     make(BLOCK, c)
         assert fixed_point_stream(BLOCK, sys.maxsize // 2).prefix(17) == (BLOCK * 3)[:20]
+        # the chain checks each word's length before building it
+        chain = fixed_point_solutions(BLOCK, sys.maxsize // 2)
+        assert next(chain) == BLOCK
+        with pytest.raises(PreconditionFailedError, match=r"would exceed \d+ letters$"):
+            next(chain)
 
 
 class TestStreams:
@@ -258,6 +264,23 @@ class TestStreams:
         squares = [r + r for r in minimal_square_roots(stream.params)]
         assert word == "".join(squares[i - 1] for i in trace)
         assert len(word) >= 100
+
+    @pytest.mark.parametrize(
+        "check, error, message",
+        [
+            (lambda: verify_fixed_point(fixed_point_stream(BLOCK), 0), DomainError,
+             "target length and iteration count must be >= 1"),
+            (lambda: find_periodic_shift(fixed_point_stream(BLOCK), ""), EmptyWordError,
+             "need a nonempty reference block"),
+            # 0^n leaves the language of (1, 0) from three zeros on
+            (lambda: verify_fixed_point(SquareStream(P10, lambda: itertools.repeat(1), "zeros"), 10),
+             NotInPiError, "stream 'zeros' emitted a prefix outside its language"),
+        ],
+        ids=["verify-length", "shift-block", "verify-language"],
+    )
+    def test_domain_errors(self, check, error, message):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            check()
 
     @pytest.mark.parametrize("index", [0, 7])
     def test_block_index_outside_one_to_six(self, index):

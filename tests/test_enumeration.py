@@ -118,6 +118,13 @@ def order_walk(d: int) -> int:
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize(
+        "fn, name", [(euler_phi, "n"), (divisor_count, "n"), (divisors, "n"), (orbit_count, "length")]
+    )
+    def test_zero_is_rejected(self, fn, name):
+        with pytest.raises(DomainError, match=f"^{fn.__name__} needs {name} >= 1$"):
+            fn(0)
+
     def test_phi_small(self):
         assert euler_phi(8) == 4
         assert euler_phi(1) == 1

@@ -305,8 +305,8 @@ class TestFindParams:
             assert has_params(word) == bool(find_params(word, wide, wide)), word
 
     def test_clamped_has_params_equals_find_params(self):
-        # has_params clamps a_max at 2|w| and find_params does not, so
-        # find_params is the oracle for bounds past the clamp
+        # bounds past 2|w|, where has_params used to clamp a_max, answer as
+        # find_params does
         words = [format(bits, f"0{n}b") for n in range(1, 9) for bits in range(1 << n)]
         checks = 0
         for word in words:
@@ -319,8 +319,9 @@ class TestFindParams:
         assert checks == 3060
 
     def test_has_params_searches_within_the_clamp(self, monkeypatch):
-        # b_max = 10**5 used to walk every b up to it: a_max is clamped at
-        # 2|w|, and each b walk stops at its saturation point 2|w| // (a + 1)
+        # b_max = 10**5 used to walk every b up to it: each b walk stops at
+        # its saturation point 2|w| // (a + 1), and a_max needs no clamp,
+        # since the first pair of 0^d is a solution
         seen, tried = [], []
         language_params = solutions._language_params
 
@@ -333,8 +334,32 @@ class TestFindParams:
         monkeypatch.setattr(solutions, "_language_params", recording)
         assert not has_params("00010", None, 10**5)
         assert has_params("0", 10**5, 10**5)
-        assert seen == [(10, 10**5), (2, 10**5)]
+        assert seen == [(10, 10**5), (10**5, 10**5)]
         assert tried and all(p.b <= n // (p.a + 1) for n, p in tried)
+
+    def test_pairs_past_twice_the_length_follow_a_solution(self):
+        # why has_params needs no a_max clamp: only 0^d reaches an a past
+        # 2|w|, and only after its first pair (2d - 1, 0), a solution
+        words = [format(bits, f"0{n}b") for n in range(1, 13) for bits in range(1 << n)]
+        reached = set()
+        for word in words:
+            n = len(word)
+            for b_max in (-1, 0, 1, 5, 1000):
+                pairs = list(squares._language_params(word + word, 4 * n, b_max))
+                if any(p.a > 2 * n for p in pairs):
+                    reached.add(word)
+                    assert word == "0" * n and pairs[0] == Params(2 * n - 1, 0), (word, b_max)
+                    assert is_solution(word, pairs[0])
+        assert reached == {"0" * n for n in range(1, 13)}
+
+    def test_negative_b_max_returns_at_once(self, monkeypatch):
+        # no b to try means no pair, whatever a_max is: the a walk never starts
+        def refuse(word, k):
+            raise AssertionError("a pair search with b_max < 0 derived a word")
+
+        monkeypatch.setattr(squares, "_derive", refuse)
+        assert find_params("0", 10**6, -1) == set()
+        assert not has_params("0", 10**6, -1)
 
     def test_b_bound_past_the_saturation_point_changes_nothing(self):
         # with fewer than two 1s no zero run pins b, so has_params walks each
@@ -446,6 +471,8 @@ class TestDecompose:
             decompose_blocks("0000")
         with pytest.raises(NotDecomposableError):
             decompose_blocks("010011")
+        with pytest.raises(EmptyWordError, match="^cannot decompose the empty word$"):
+            decompose_blocks("")
 
     def test_substitute_roundtrip(self):
         block = "01010010"

@@ -10,6 +10,7 @@ from sqword.dynamics import fixed_point_stream, no_square_prefix_word, two_perio
 from sqword.errors import EmptyAfterTrimError, InvalidParamsError, NotInPiError
 from sqword.squares import (
     Params,
+    _s6_length,
     in_language,
     minimal_square_roots,
     minimal_squares,
@@ -55,7 +56,7 @@ class TestRoots:
     def test_sixth_root_length(self):
         for p in SMALL_PARAMS:
             roots = minimal_square_roots(p)
-            assert len(roots[5]) == (p.a + 2) + (p.b + 1) * (p.a + 1)
+            assert _s6_length(p) == len(roots[5]) == (p.a + 2) + (p.b + 1) * (p.a + 1)
 
     def test_substituted(self):
         roots = minimal_square_roots(Params(2, 1))
