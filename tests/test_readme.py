@@ -14,15 +14,19 @@ def test_quick_tour_runs_as_a_doctest():
     assert result.failed == 0
 
 
-def test_command_lines_run(capsys):
+def readme_command_lines() -> list[list[str]]:
     # every `sqword ...` line of the "Command line" section's shell block
     section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [
+    return [
         shlex.split(line, comments=True)[1:]
         for line in block.splitlines()
         if line.startswith("sqword ")
     ]
+
+
+def test_command_lines_run(capsys):
+    lines = readme_command_lines()
     commands = {"classify", "check", "sqrt", "gen", "count", "list", "orbits", "fixedpoint", "period"}
     assert {argv[0] for argv in lines} == commands
     for argv in lines:
