@@ -33,7 +33,7 @@ from .standard import (
     fibonacci_word,
     standard_from_directive,
 )
-from .words import check_binary, slope
+from .words import slope
 
 # Caps on request sizes, so that no input can exhaust memory or run for
 # minutes: brute force keeps only O(n) prefixes on its stack but its time
@@ -42,10 +42,9 @@ from .words import check_binary, slope
 # widest range ending at 10^6 takes about 4 s on that box), the word 0 is a
 # solution for every (a, b) within explicit bounds, and `orbits --n 10^6`
 # peaks at about 72 MB of RSS (115 MB with --format text, whose longest line
-# lists 800,000 residues).  The `sl` stream's memory follows --length alone;
-# --c is capped only to keep its run counts (2c) machine-sized.
+# lists 800,000 residues).  Words read or built are capped too.  The `sl`
+# stream's memory follows --length; fixed_point_stream bounds its --c.
 _MAX_LENGTH = 10**7
-_MAX_C = 10**9
 _MAX_BRUTE_N = 60
 _MAX_COUNT_N = 10**6
 _MAX_RANGE_WIDTH = 10**4
@@ -53,17 +52,27 @@ _MAX_BOUND = 10**3
 _MAX_ORBITS_N = 10**6
 
 
+def _check_word_length(length: int) -> None:
+    if length > _MAX_LENGTH:
+        raise DomainError(f"words are capped at {_MAX_LENGTH} letters, got at least {length}")
+
+
 def _read_word(args) -> str:
     if args.word_file:
+        text = ""
         try:
             with open(args.word_file, encoding="utf-8") as handle:
-                text = handle.read()
+                # in pieces, so that a file past the cap is refused unread
+                for piece in iter(lambda: handle.read(1 << 20), ""):
+                    text = (text + piece).lstrip()
+                    _check_word_length(len(text.rstrip()))
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read word file: {exc}") from exc
-        return check_binary(text.strip())
+        return text.rstrip()
     if args.word is None:
         raise DomainError("a word is required (use --word or --word-file)")
-    return check_binary(args.word)
+    _check_word_length(len(args.word))
+    return args.word
 
 
 def _word_report(standard: str, directive: tuple[int, ...], reverse: bool) -> dict:
@@ -94,8 +103,7 @@ def _check_standard_length(terms: Iterable[int]) -> None:
         if d < 1:
             return
         prev, length = length, d * length + prev
-        if length > _MAX_LENGTH:
-            raise DomainError(f"words are capped at {_MAX_LENGTH} letters, got at least {length}")
+        _check_word_length(length)
 
 
 def _cmd_gen(args) -> tuple[dict, list[str]]:
@@ -214,31 +222,21 @@ def _cmd_orbits(args) -> tuple[dict, Iterable[str]]:
     return result, (" ".join(map(str, orbit)) for orbit in orbits)
 
 
-_STREAM_KINDS = ("sl", "nosquare", "biperiodic")
-
-
 def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
     if args.length > _MAX_LENGTH:
         raise DomainError(f"--length is capped at {_MAX_LENGTH} letters, got {args.length}")
     if args.kind == "sl":
         if not args.word:
             raise DomainError("kind 'sl' needs --word with a reversed standard block")
-        block = check_binary(args.word)
-        if args.c > _MAX_C:
-            raise DomainError(f"--c is capped at {_MAX_C}, got {args.c}")
-        stream = fixed_point_stream(block, args.c)
-        for name in ("a", "b"):
-            value, fixed = getattr(args, name), getattr(stream.params, name)
-            if value is not None and value != fixed:
-                raise DomainError(f"--{name} {value} conflicts with the block's natural value {fixed}")
+        stream = fixed_point_stream(args.word, args.c)
+        if args.a is not None and args.a != stream.params.a:
+            raise DomainError(f"--a {args.a} conflicts with the block's natural value {stream.params.a}")
     else:
         if args.a is None:
             raise DomainError(f"kind {args.kind!r} needs --a")
         if 4 * args.a + 6 > _MAX_LENGTH:
             # the sixth square at b = 0 has 4a + 6 letters
             raise DomainError(f"--a is capped at {(_MAX_LENGTH - 6) // 4}, got {args.a}")
-        if args.b not in (None, 0):
-            raise DomainError(f"kind {args.kind!r} is defined for b = 0 only")
         maker = no_square_prefix_word if args.kind == "nosquare" else two_periodic_word
         stream = maker(args.a)
     prefix, trace = stream.prefix_blocks(args.length)
@@ -323,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     orb.add_argument("--n", type=int, required=True)
 
     fix = sub.add_parser("fixedpoint", parents=[common], help="materialize a square-root dynamics stream")
-    fix.add_argument("--kind", choices=_STREAM_KINDS, required=True)
+    fix.add_argument("--kind", choices=("sl", "nosquare", "biperiodic"), required=True)
     fix.add_argument("--a", type=int)
-    fix.add_argument("--b", type=int)
     fix.add_argument("--c", type=int, default=1)
     fix.add_argument("--word", help="reversed standard block for kind 'sl'")
     fix.add_argument("--length", type=int, required=True)

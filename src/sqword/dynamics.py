@@ -85,13 +85,12 @@ class SquareStream:
 
 
 def _chain_params(block: str, c: int) -> Params:
-    # The checks shared by both views of the solution chain over *block*.
-    check_binary(block)
+    # The checks shared by both views of the solution chain, letters first.
+    params = natural_params(block)
     if c < 1:
         raise PreconditionFailedError("the power parameter c must be >= 1")
     if 2 * c > sys.maxsize:
         raise PreconditionFailedError(f"the power parameter c must be <= {sys.maxsize // 2}")
-    params = natural_params(block)
     if params is None:
         raise PreconditionFailedError(
             f"{block!r} is not a reversed standard word with usable parameters"

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -313,8 +314,8 @@ class TestOtherCommands:
             (["check"], "a word is required (use --word or --word-file)"),
             (["check", "--word", ""], "solutions are nonempty"),
             (["fixedpoint", "--kind", "nosquare", "--length", "10"], "kind 'nosquare' needs --a"),
-            (["fixedpoint", "--kind", "biperiodic", "--a", "1", "--b", "1", "--length", "10"],
-             "kind 'biperiodic' is defined for b = 0 only"),
+            (["fixedpoint", "--kind", "sl", "--word", "01x", "--length", "10"],
+             "invalid letter 'x' in binary word"),
             (["fixedpoint", "--kind", "sl", "--word", "01010010", "--length", "0"],
              "prefix length must be >= 1"),
             (["orbits", "--n", "0"], "orbit partition needs n >= 1"),
@@ -328,6 +329,38 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["fixedpoint", "--kind", "bogus", "--length", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "kind",
+        [["sl", "--word", "01010010"], ["nosquare", "--a", "1"], ["biperiodic", "--a", "1"]],
+        ids=["sl", "nosquare", "biperiodic"],
+    )
+    def test_fixedpoint_has_no_b(self, capsys, kind):
+        # every kind's parameters are fixed: sl's by its block, the others' b at 0
+        with pytest.raises(SystemExit) as exc:
+            main(["fixedpoint", "--kind", *kind, "--b", "1", "--length", "10"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("unrecognized arguments: --b 1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["check", "--a", "1"], ["classify"], ["sqrt", "--a", "1"], ["period"]],
+    )
+    @pytest.mark.parametrize("source", ["--word", "--word-file"])
+    def test_letters_are_checked_by_the_library(self, capsys, tmp_path, argv, source):
+        word = "01x"
+        if source == "--word-file":
+            word = tmp_path / "word.txt"
+            word.write_text("01x\n", encoding="utf-8")
+        message = "error: invalid letter 'x' in binary word\n"
+        assert run_cli(capsys, *argv, source, str(word)) == (1, "", message)
+
+    def test_word_file_keeps_inner_blanks(self, capsys, tmp_path):
+        # only the ends of the file are stripped, wherever its pieces break
+        path = tmp_path / "word.txt"
+        path.write_text("0" * (2**20 - 1) + " 1\n", encoding="utf-8")
+        message = "error: invalid letter ' ' in binary word\n"
+        assert run_cli(capsys, "period", "--word-file", str(path)) == (1, "", message)
 
 
 class TestCaps:
@@ -351,6 +384,9 @@ class TestCaps:
             "fibonacci_word",
             "central_word",
             "doubling_orbits",
+            "is_solution",
+            "square_root",
+            "detect_period",
         ):
             monkeypatch.setattr(f"sqword.cli.{name}", refuse)
 
@@ -359,11 +395,10 @@ class TestCaps:
         [
             ["fixedpoint", "--kind", "sl", "--word", "01010010", "--length", str(10**12)],
             ["fixedpoint", "--kind", "nosquare", "--a", "1", "--length", str(10**7 + 1)],
-            # --c is capped at 10^9 at any length; the last two are past the
-            # library's own bound 2c <= sys.maxsize too
-            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(10**9 + 1), "--length", "17"],
-            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(5 * 10**18), "--length", "17"],
-            ["fixedpoint", "--kind", "sl", "--word", "01010010", "--c", str(10**19), "--length", "17"],
+            # words of more than 10^7 letters, whatever their letters
+            ["check", "--word", "0" * (10**7 + 1), "--a", "1"],
+            ["classify", "--word", "x" * (10**7 + 1)],
+            ["period", "--word", "01" * (5 * 10**6 + 1)],
             # the sixth square at b = 0 has 4a + 6 letters
             ["fixedpoint", "--kind", "nosquare", "--a", "2499999", "--length", "10"],
             ["fixedpoint", "--kind", "biperiodic", "--a", str(10**7), "--length", "10"],
@@ -403,6 +438,17 @@ class TestCaps:
         assert err.startswith("error: ") and "capped" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("letters", [10**7 + 1, 15 * 10**6])
+    def test_word_file_past_the_cap(self, capsys, tmp_path, letters):
+        path = tmp_path / "word.txt"
+        path.write_text("0" * letters, encoding="utf-8")
+        code, out, err = run_cli(capsys, "sqrt", "--word-file", str(path), "--a", "1")
+        assert (code, out) == (1, "")
+        prefix = f"error: words are capped at {10**7} letters, got at least "
+        assert err.startswith(prefix)
+        # read in pieces: the refusal comes before the end of a longer file
+        assert 10**7 < int(err[len(prefix):]) <= min(letters, 11 * 10**6)
+
 
 def refuse(*args, **kwargs):
     raise AssertionError("a refused request built a prefix")
@@ -412,24 +458,31 @@ def refuse(*args, **kwargs):
 def test_fixedpoint_conflicting_param_is_rejected(capsys, monkeypatch, flag, natural):
     # the block 01010010 has the natural parameters (1, 0)
     code, out, err = run_cli(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
-                             "--a", "1", "--b", "0", "--length", "17")
+                             "--a", "1", "--length", "17")
     assert (code, json.loads(out)["result"]["b"]) == (0, 0)
     monkeypatch.setattr(SquareStream, "prefix_blocks", refuse)
-    code, out, err = run_cli(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
-                             flag, "5", "--length", "17")
+    argv = ["fixedpoint", "--kind", "sl", "--word", "01010010", flag, "5", "--length", "17"]
+    if flag == "--b":
+        # b is read off the block alone, so there is no flag to conflict
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {flag} 5 conflicts with the block's natural value {natural}\n"
 
 
-def test_caps_admit_their_limits(capsys, monkeypatch):
+def test_caps_admit_their_limits(capsys, monkeypatch, tmp_path):
     seen = []
     monkeypatch.setattr("sqword.cli.brute_force_solutions", lambda *args: seen.append(args) or ["0"])
     monkeypatch.setattr("sqword.cli.has_params", lambda w, *caps: seen.append(caps) or True)
     run_json(capsys, "list", "--n", "60")
     run_json(capsys, "list", "--n", "5", "--a-cap", "1000", "--b-cap", "1000")
     assert seen == [(60,), (None, None), (5,), (1000, 1000)]
-    # --c up to 10^9 at any length, the stream's memory following the length;
-    # the streams run at c = 1 with a stub prefix
+    # --c up to the library's bound sys.maxsize // 2 at any length, the
+    # stream's memory following the length; the streams run at c = 1 with a
+    # stub prefix
     chains = []
     monkeypatch.setattr(
         "sqword.cli.fixed_point_stream", lambda w, c: chains.append(c) or fixed_point_stream(w, 1)
@@ -437,7 +490,8 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     monkeypatch.setattr(
         SquareStream, "prefix_blocks", lambda self, n: chains.append(n) or ("00", (1,))
     )
-    limits = [(10**9, 17), (833333, 17), (1, 10**7), (2, 6250001), (2, 10**7)]
+    limits = [(10**9, 17), (10**9 + 1, 17), (sys.maxsize // 2, 17), (833333, 17), (1, 10**7),
+              (2, 6250001), (2, 10**7)]
     for c, length in limits:
         run_json(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
                  "--c", str(c), "--length", str(length))
@@ -471,15 +525,31 @@ def test_caps_admit_their_limits(capsys, monkeypatch):
     monkeypatch.setattr("sqword.cli.doubling_orbits", lambda n: built.append(n) or ())
     run_json(capsys, "orbits", "--n", str(10**6))
     assert built == [(10**7,), 33, 10**7 + 2, 10**6]
+    # words of 10^7 letters, given or read from a file around blank space
+    path = tmp_path / "word.txt"
+    path.write_text(" \n" + "01" * (5 * 10**6) + "\n\n", encoding="utf-8")
+    monkeypatch.setattr("sqword.cli.detect_period", lambda w, *args: built.append(len(w)))
+    for source in (["--word", "0" * 10**7], ["--word-file", str(path)]):
+        run_json(capsys, "period", *source)
+    assert built[-2:] == [10**7, 10**7]
+
+
+@pytest.mark.parametrize("c", [5 * 10**18, 10**19])
+def test_fixedpoint_c_past_the_library_bound(capsys, monkeypatch, c):
+    monkeypatch.setattr(SquareStream, "prefix_blocks", refuse)
+    code, out, err = run_cli(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
+                             "--c", str(c), "--length", "17")
+    assert (code, out) == (1, "")
+    assert err == f"error: the power parameter c must be <= {sys.maxsize // 2}\n"
 
 
 def test_fixedpoint_at_the_c_cap_builds_only_what_it_prints(capsys):
-    # Z(j+1) = exchange(Zj) Zj^(2c) is walked lazily: 17 letters at c = 10^9
-    # repeat the base piece Z0 Z0 by reference, and no level is built
+    # Z(j+1) = exchange(Zj) Zj^(2c) is walked lazily: 17 letters at the
+    # largest c repeat the base piece Z0 Z0 by reference, and no level is built
     tracemalloc.start()
     try:
         env = run_json(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
-                       "--c", str(10**9), "--length", "17")
+                       "--c", str(sys.maxsize // 2), "--length", "17")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

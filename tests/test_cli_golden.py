@@ -84,19 +84,19 @@ ROWS = [
     ('gen standard --directive 0,1', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: directive terms must be positive integers'),
     ('gen central --c 2 --d 4', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: need coprime 1 <= c < d with d >= 2, got c=2, d=4'),
     # fixedpoint --b and --c
-    ('fixedpoint --kind sl --word 01010010 --b 0 --length 17', 0, 'be65a8ad10a49bb54c190df00b2164d7a06643f0', ''),
-    ('fixedpoint --kind sl --word 01010010 --b 5 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: --b 5 conflicts with the block's natural value 0"),
-    ('fixedpoint --kind nosquare --a 1 --b 0 --length 10', 0, '9ecc76687cfe06c3c3bef8b197cad6c677d34a05', ''),
-    ('fixedpoint --kind biperiodic --a 1 --b 1 --length 10', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: kind 'biperiodic' is defined for b = 0 only"),
+    ('fixedpoint --kind sl --word 01010010 --b 0 --length 17', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: unrecognized arguments: --b 0'),
+    ('fixedpoint --kind sl --word 01010010 --b 5 --length 17', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: unrecognized arguments: --b 5'),
+    ('fixedpoint --kind nosquare --a 1 --b 0 --length 10', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: unrecognized arguments: --b 0'),
+    ('fixedpoint --kind biperiodic --a 1 --b 1 --length 10', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: unrecognized arguments: --b 1'),
     ('fixedpoint --kind sl --word 01010010 --c 1000000000 --length 17', 0, 'f72b04c5a833fc06132d341c2b00cbcf880977e2', ''),
-    ('fixedpoint --kind sl --word 01010010 --c 1000000001 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: --c is capped at 1000000000, got 1000000001'),
-    ('fixedpoint --kind sl --word 01010010 --c 4611686018427387903 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: --c is capped at 1000000000, got 4611686018427387903'),
-    ('fixedpoint --kind sl --word 01010010 --c 4611686018427387904 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: --c is capped at 1000000000, got 4611686018427387904'),
-    ('fixedpoint --kind sl --word 01010010 --c 5000000000000000000 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: --c is capped at 1000000000, got 5000000000000000000'),
-    ('fixedpoint --kind sl --word 01010010 --c 10000000000000000000 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: --c is capped at 1000000000, got 10000000000000000000'),
+    ('fixedpoint --kind sl --word 01010010 --c 1000000001 --length 17', 0, 'f7b9f143d23828410e7a7177b07473f993ee6a9f', ''),
+    ('fixedpoint --kind sl --word 01010010 --c 4611686018427387903 --length 17', 0, '425006e567f944c2fd6604a3badcd4502bc79c48', ''),
+    ('fixedpoint --kind sl --word 01010010 --c 4611686018427387904 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: the power parameter c must be <= 4611686018427387903'),
+    ('fixedpoint --kind sl --word 01010010 --c 5000000000000000000 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: the power parameter c must be <= 4611686018427387903'),
+    ('fixedpoint --kind sl --word 01010010 --c 10000000000000000000 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: the power parameter c must be <= 4611686018427387903'),
     # two faults on one line: the first one checked is reported
-    ('check --word 01x --a-max 5000', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
-    ('sqrt --word 01x --a 0', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
+    ('check --word 01x --a-max 5000', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: --a-max is capped at 1000, got 5000'),
+    ('sqrt --word 01x --a 0', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: parameter a must be >= 1, got 0'),
     ('fixedpoint --kind sl --word 01x --c 0 --length 10', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
     ('fixedpoint --kind sl --word 0110 --c 0 --length 10', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: the power parameter c must be >= 1'),
     ('fixedpoint --kind sl --word 010 --c 0 --length 10', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: the power parameter c must be >= 1'),
@@ -125,8 +125,8 @@ ROWS = [
     ('gen fibonacci --k 34', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: words are capped at 10000000 letters, got at least 14930352'),
     ('gen central --c 1 --d 10000003', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: --d is capped at 10000002, got 10000003'),
     ('orbits --n 1000001', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: --n is capped at 1000000, got 1000001'),
-    ('period --word x{10000001}', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
-    ('sqrt --a 1 --word 1{10000001}', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: no complete square factorization (stuck at 0)'),
+    ('period --word x{10000001}', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: words are capped at 10000000 letters, got at least 10000001'),
+    ('sqrt --a 1 --word 1{10000001}', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: words are capped at 10000000 letters, got at least 10000001'),
 ]
 
 

@@ -23,6 +23,7 @@ from sqword.errors import (
     DomainError,
     EmptyAfterTrimError,
     EmptyWordError,
+    InvalidLetterError,
     NotInPiError,
     PreconditionFailedError,
 )
@@ -213,6 +214,19 @@ class TestSolutionChain:
         assert next(chain) == BLOCK
         with pytest.raises(PreconditionFailedError, match=r"would exceed \d+ letters$"):
             next(chain)
+
+    def test_preconditions_are_checked_letters_then_c_then_standardness_then_length(self):
+        for make in (fixed_point_solutions, fixed_point_stream):
+            with pytest.raises(InvalidLetterError):
+                make("01x", 0)
+            with pytest.raises(PreconditionFailedError, match="c must be >= 1"):
+                make("0101", 0)  # not reversed standard either
+            with pytest.raises(PreconditionFailedError, match="c must be >= 1"):
+                make("10010", 0)  # not longer than its sixth root either
+            with pytest.raises(PreconditionFailedError, match="not a reversed standard word"):
+                make("0101", 1)
+            with pytest.raises(PreconditionFailedError, match="sixth root length"):
+                make("10010", 1)
 
 
 class TestStreams:

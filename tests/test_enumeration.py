@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -182,6 +183,18 @@ class TestOrbitCount:
     def test_formula_equals_direct_enumeration(self):
         for l in range(1, 601):
             assert orbit_count(l) == len(doubling_orbits(l)), l
+
+    def test_every_table_is_bounded(self):
+        # a process that keeps counting must not keep growing
+        tables = {
+            name: value
+            for module_name, module in list(sys.modules.items())
+            if module_name.startswith("sqword.")
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        }
+        assert "orbit_count" in tables
+        assert all(table.cache_info().maxsize is not None for table in tables.values()), tables
 
 
 class TestExcessTerm:
