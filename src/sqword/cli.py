@@ -26,7 +26,7 @@ from .dynamics import (
 from .enumeration import brute_force_solutions, count_solutions
 from .errors import DomainError
 from .solutions import _bounds, classify, doubling_orbits, find_params, has_params, is_solution
-from .squares import Params, square_root
+from .squares import Params, _s6_length, square_root
 from .standard import (
     central_word,
     directive_of_standard,
@@ -234,8 +234,7 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
     else:
         if args.a is None:
             raise DomainError(f"kind {args.kind!r} needs --a")
-        if 4 * args.a + 6 > _MAX_LENGTH:
-            # the sixth square at b = 0 has 4a + 6 letters
+        if 2 * _s6_length(Params(args.a)) > _MAX_LENGTH:
             raise DomainError(f"--a is capped at {(_MAX_LENGTH - 6) // 4}, got {args.a}")
         maker = no_square_prefix_word if args.kind == "nosquare" else two_periodic_word
         stream = maker(args.a)
@@ -282,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", parents=[common], help="generate standard, fibonacci or central words")
     gensub = gen.add_subparsers(dest="what", required=True)
-    g_std = gensub.add_parser("standard")
+    g_std = gensub.add_parser("standard", parents=[common])
     g_std.add_argument("--directive", required=True, help="comma separated terms, e.g. 2,1,1,1")
     g_std.add_argument("--reversed", action="store_true", help="emit the reversal")
-    g_fib = gensub.add_parser("fibonacci")
+    g_fib = gensub.add_parser("fibonacci", parents=[common])
     g_fib.add_argument("--k", type=int, required=True)
     g_fib.add_argument("--reversed", action="store_true")
-    g_cen = gensub.add_parser("central")
+    g_cen = gensub.add_parser("central", parents=[common])
     g_cen.add_argument("--c", type=int, required=True)
     g_cen.add_argument("--d", type=int, required=True)
 

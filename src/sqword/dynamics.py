@@ -18,7 +18,6 @@ from typing import Callable, Iterator
 from .errors import (
     DomainError,
     EmptyAfterTrimError,
-    EmptyWordError,
     NotInPiError,
     PreconditionFailedError,
 )
@@ -31,7 +30,7 @@ from .squares import (
     parse,
 )
 from .standard import natural_params
-from .words import are_conjugate, check_binary, exchange_first_two
+from .words import are_conjugate, check_binary, check_nonempty, exchange_first_two
 
 # the largest index tuple a stream level is built as, see fixed_point_stream
 _LEAF = 1 << 14
@@ -329,9 +328,7 @@ def find_periodic_shift(stream: SquareStream, block: str) -> tuple[int, PeriodRe
     minimum period a rotation of *block*.  Returns None when no offset in
     the window qualifies.
     """
-    check_binary(block)
-    if not block:
-        raise EmptyWordError("need a nonempty reference block")
+    check_nonempty(block, "need a nonempty reference block")
     length = len(block)
     max_offset, min_root_len = length * length, 20 * length
     need = max_offset + 2 * min_root_len + 4 * length + 8

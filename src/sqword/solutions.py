@@ -13,20 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import (
     ClassificationContradictionError,
     EmptyWordError,
     InvalidLetterError,
     NotDecomposableError,
-    TooShortError,
 )
 from .squares import (
     Params, _join_roots, _language_params, _s6_length, in_language, scan_minimal_squares
 )
 from .standard import central_word, is_reversed_standard
-from .words import check_binary, exchange_first_two, primitive_root
+from .words import check_nonempty, exchange_first_two, primitive_root, slope
 
 _PATTERN_ALPHABET = frozenset("SL")
 
@@ -77,20 +75,19 @@ def is_pattern_word(pattern: str) -> bool:
 
 
 def substitute_pattern(pattern: str, block: str) -> str:
-    """Replace S by *block* and L by *block* with its first two letters swapped."""
+    """Replace S by *block* and L by *block* with its first two letters swapped.
+
+    A block shorter than two letters raises ``TooShortError`` through the
+    exchange.
+    """
     _check_pattern(pattern)
-    check_binary(block)
-    if len(block) < 2:
-        raise TooShortError("block substitution needs a block of length at least 2")
     swapped = exchange_first_two(block)
     return "".join(block if ch == "S" else swapped for ch in pattern)
 
 
 def is_solution(word: str, params: Params) -> bool:
     """True iff the square of *word* has a square root equal to *word*."""
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("solutions are nonempty")
+    check_nonempty(word, "solutions are nonempty")
     square = word + word
     indices, consumed = scan_minimal_squares(square, params)
     if consumed != len(square) or _join_roots(indices, params, consumed) != word:
@@ -102,9 +99,7 @@ def _bounds(
     word: str, a_max: int | None, b_max: int | None, empty: str = "solutions are nonempty"
 ) -> tuple[int, int]:
     # Validate *word* and default each missing bound to twice its length.
-    check_binary(word)
-    if not word:
-        raise EmptyWordError(empty)
+    check_nonempty(word, empty)
     default = 2 * len(word)
     return (default if a_max is None else a_max, default if b_max is None else b_max)
 
@@ -144,16 +139,13 @@ def decompose_blocks(word: str) -> tuple[str, str]:
     the central word of c/d).  Returns the block and the {S, L}-letter
     sequence of *word* read block by block.
     """
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("cannot decompose the empty word")
-    ones = word.count("1")
-    if ones == 0 or ones == len(word):
+    check_nonempty(word, "cannot decompose the empty word")
+    sl = slope(word)
+    if sl in (0, 1):
         raise NotDecomposableError("block decomposition needs both letters")
-    sl = Fraction(ones, len(word))
     c, d = sl.numerator, sl.denominator
     block = "01" + central_word(c, d)
-    swapped = "10" + block[2:]
+    swapped = exchange_first_two(block)
     letters = []
     for i in range(0, len(word), d):
         chunk = word[i : i + d]

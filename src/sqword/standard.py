@@ -20,12 +20,11 @@ from typing import Sequence
 
 from .errors import (
     EmptyDirectiveError,
-    EmptyWordError,
     InvalidSlopeError,
     NotStandardError,
 )
 from .squares import Params
-from .words import check_binary
+from .words import check_binary, check_nonempty
 
 Directive = tuple[int, ...]
 
@@ -86,9 +85,7 @@ def is_reversed_standard(word: str) -> bool:
 
     Single letters are the base words and always accepted.
     """
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("the empty word is not a standard word")
+    check_nonempty(word, "the empty word is not a standard word")
     return _directive(word[::-1]) is not None
 
 

@@ -24,11 +24,17 @@ def check_binary(word: str) -> str:
     return word
 
 
+def check_nonempty(word: str, message: str) -> str:
+    """Return *word* unchanged after checking its letters, then that it is
+    nonempty; the empty word raises ``EmptyWordError(message)``."""
+    if not check_binary(word):
+        raise EmptyWordError(message)
+    return word
+
+
 def slope(word: str) -> Fraction:
     """Fraction of 1s in *word*, in lowest terms."""
-    check_binary(word)
-    if not word:
-        raise EmptyWordError("slope of the empty word is undefined")
+    check_nonempty(word, "slope of the empty word is undefined")
     return Fraction(word.count("1"), len(word))
 
 

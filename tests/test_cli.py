@@ -37,6 +37,12 @@ class TestClassifyCommand:
         assert env["result"]["verdict"] == "TypeI"
         assert [1, 0] in env["result"]["params"]
 
+    def test_contradiction_is_a_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sqword.solutions.has_params", lambda *args: False)
+        code, out, err = run_cli(capsys, "classify", "--word", "01010010" * 2)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_type_two(self, capsys):
         env = run_json(capsys, "classify", "--word", "100100100101001001010010")
         assert env["result"]["verdict"] == "TypeII"

@@ -43,6 +43,9 @@ ROWS = [
     ('fixedpoint --kind biperiodic --a 1 --length 10000', 0, 'cfda0be31eaedb79d12bc40287b8bfd4947af017', ''),
     ('fixedpoint --kind sl --word 01010010 --a 1 --length 17', 0, '1375f7a9559ce53966c60326c983298c15d696c4', ''),
     ('--format text gen fibonacci --k 6', 0, 'a5a5e2e72f23304b4d81e2fe16bb79faa7d58a54', ''),
+    ('gen fibonacci --k 6 --format text', 0, 'a5a5e2e72f23304b4d81e2fe16bb79faa7d58a54', ''),
+    ('gen standard --directive 2,1 --format text', 0, 'ff30e07b1a449675480220b2c60e57b6bbb6bb8e', ''),
+    ('gen central --c 3 --d 8 --format csv', 0, 'e1a4e7d60644e7fb8250fd67ec5735df009f7ebd', ''),
     ('--format csv check --word 01010010 --a 1', 0, 'bbd0511184f15f5b8ccd87af6fafc54576f7faf4', ''),
     ('classify --word 0101 --a-max 1000 --b-max 1000', 0, '6a695be5a3f7c77ea51350f92606290c0a9b8c79', ''),
     ('count --range 5..3', 0, 'e9964af5cfd6bffb47b45a944dd3ab374f6f8720', ''),
@@ -58,7 +61,6 @@ ROWS = [
     ('fixedpoint --kind bogus --length 5', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "sqword fixedpoint: error: argument --kind: invalid choice: 'bogus' (choose from 'sl', 'nosquare', 'biperiodic')"),
     ('fixedpoint --kind sl --word 01010010', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword fixedpoint: error: the following arguments are required: --length'),
     ('check --word 0101 --bogus 1', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: unrecognized arguments: --bogus 1'),
-    ('gen fibonacci --k 6 --format text', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: unrecognized arguments: --format text'),
     # domain errors
     ('check', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: a word is required (use --word or --word-file)'),
     ("check --word ''", 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: solutions are nonempty'),

@@ -589,6 +589,10 @@ class TestVerification:
         assert report.period == len(BLOCK)
         assert are_conjugate(report.period_word, BLOCK)
 
+    def test_periodic_shift_not_found(self):
+        # no shifted root of the stream is periodic with this reference
+        assert find_periodic_shift(fixed_point_stream(BLOCK, 1), "00000001") is None
+
     def test_shifted_root_leaves_the_language_factors(self):
         # dropping one sixth-root length of the single-square-prefix word
         # yields a square root whose visible prefix never occurs in the word

@@ -20,6 +20,7 @@ from sqword.enumeration import (
 from sqword.errors import DomainError, NotADivisorError, NotCoprimeError
 from sqword.solutions import doubling_orbits, has_params
 from sqword.squares import _derive, _language_params, _levels, minimal_squares, parse
+from test_squares import zero_runs
 
 # OEIS A000374: orbit counts of doubling mod n (first 21 terms).
 A000374 = [1, 1, 2, 1, 2, 2, 3, 1, 3, 2, 2, 2, 2, 3, 5, 1, 3, 3, 2, 2, 6]
@@ -332,6 +333,18 @@ class TestBruteForce:
                     walk = bound_walk(kinds, bound)
                     assert list(held) == [b for b in walk if b <= n], (kinds, bound)
                     assert all(_derive(kinds, b) == _derive(kinds, n) for b in walk if b > n)
+
+    def test_memo_equals_the_zero_run_range(self):
+        # The second level in closed form, read off the zero runs alone: b
+        # is at least h - 1, t - 1 and R - 1 (the head, tail and greatest
+        # inner run) and at most the least inner run r and the word's length.
+        for n in range(13):
+            for bits in range(1 << n):
+                kinds = format(bits, f"0{n}b") if n else ""
+                head, tail, inner = zero_runs(kinds)
+                low = max(0, head - 1, tail - 1, max(inner, default=0) - 1)
+                high = min(inner, default=n)
+                assert _second_level(kinds) == tuple(range(low, min(high, n) + 1)), kinds
 
     def test_memo_is_keyed_on_the_kinds_word(self):
         # Neither the search's pruning nor its memo depends on n, so a

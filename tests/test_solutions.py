@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from sqword.errors import (
+    ClassificationContradictionError,
     EmptyWordError,
     InvalidLetterError,
     NotDecomposableError,
@@ -143,7 +144,8 @@ class TestSubstitution:
         assert substitute_pattern("SL", "10") == "1001"
 
     def test_too_short(self):
-        with pytest.raises(TooShortError):
+        # the exchange checks the block
+        with pytest.raises(TooShortError, match="^exchange needs a word of length at least 2$"):
             substitute_pattern("S", "0")
 
     def test_injective_when_letters_differ(self):
@@ -519,6 +521,26 @@ class TestClassify:
                 result = classify(word)  # must never raise
                 if result.verdict is Verdict.NOT_SOLUTION:
                     assert not has_params(word)
+
+    @pytest.mark.parametrize(
+        "attr, fake, word, message",
+        [
+            ("has_params", lambda *args: False, "01010010" * 2,
+             "its primitive root '01010010' is not"),
+            ("decompose_blocks", None, LSS_WORD, "has no block decomposition"),
+            ("is_reversed_standard", lambda word: False, "01010010",
+             "type II witnesses for '01010010' violate"),
+        ],
+        ids=["power", "decomposition", "witnesses"],
+    )
+    def test_contradictions_raise(self, monkeypatch, attr, fake, word, message):
+        # each case of the trichotomy refuses a solution it cannot place
+        def undecomposable(word):
+            raise NotDecomposableError("refused")
+
+        monkeypatch.setattr(solutions, attr, fake or undecomposable)
+        with pytest.raises(ClassificationContradictionError, match=message):
+            classify(word)
 
     def test_type_one_iff_gcd_one(self):
         # among primitive solutions, standard reversals are exactly the

@@ -127,6 +127,16 @@ def nfa_in_language(word, p):
     return True
 
 
+def zero_runs(word):
+    """The head and tail zero runs of *word* and the zero runs between its
+    1s; a word without a 1 is one run that is both head and tail."""
+    if "1" not in word:
+        return len(word), len(word), []
+    head, last = word.find("1"), word.rfind("1")
+    inner = [len(run) for run in word[head + 1 : last].split("1")] if head < last else []
+    return head, len(word) - 1 - last, inner
+
+
 def peak_bytes(fn):
     """Peak traced allocation while *fn* runs."""
     tracemalloc.start()
@@ -249,6 +259,19 @@ class TestLanguage:
                         assert len(kinds) <= n // (a + 1), (word, a, kinds)
                         checks += 1
         assert checks == 1689
+
+    def test_derive_accepts_by_its_zero_runs(self):
+        # The rule _levels relies on, in closed form: with k capped at |w|,
+        # _derive(w, k) accepts exactly when the edge zero runs are at most
+        # k + 1 and every zero run between two 1s is k or k + 1.
+        for n in range(13):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                head, tail, inner = zero_runs(word)
+                for k in range(n + 3):
+                    cap = min(k, n)
+                    rule = max(head, tail) <= cap + 1 and all(r - cap in (0, 1) for r in inner)
+                    assert (squares._derive(word, k) is not None) == rule, (word, k)
 
     def test_huge_params_stay_small(self):
         words = ["0101", "0101001001010010", "1" + "0" * 50, "10" * 40]

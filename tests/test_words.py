@@ -7,6 +7,7 @@ from sqword.errors import EmptyWordError, InvalidLetterError, TooShortError
 from sqword.words import (
     are_conjugate,
     check_binary,
+    check_nonempty,
     exchange_first_two,
     is_primitive,
     primitive_root,
@@ -37,6 +38,19 @@ class TestCheckBinary:
         for value in (None, 1, b"01", ["0", "1"]):
             with pytest.raises(InvalidLetterError, match=type(value).__name__):
                 check_binary(value)
+
+
+class TestCheckNonempty:
+    def test_returns_the_word(self):
+        for word in ("0", "1", "01" * 1000):
+            assert check_nonempty(word, "unused") is word
+
+    def test_letters_then_emptiness(self):
+        with pytest.raises(EmptyWordError, match="^the caller's message$"):
+            check_nonempty("", "the caller's message")
+        for value in ("0x", None):
+            with pytest.raises(InvalidLetterError):
+                check_nonempty(value, "unused")
 
 
 class TestSlope:
