@@ -16,16 +16,21 @@ that start with 0 (one representative per symmetry class) and avoid 11 (no
 solution contains 11) depth first, and keeps those admitting parameters.
 The factor language is closed under factors and holds the square of every
 solution, so the search drops each prefix that no parameter pair admits.
-Each prefix carries its first desubstitution, an (a, kinds, t) triple per
-live a: the kinds word its complete blocks commit and its trailing zero
-count t, so a letter costs O(1) at the first level.  The second level, the
-b that hold a kinds word, is a bounded memo keyed on the kinds word alone.
-Once the kinds word has two 1s it pins b to at most two values, and a
-prefix ending in 1 keeps a only if, for one of them, its greedy square
-parse could still begin the square of a solution.  Both are exact: the
-memo gives what a walk over every b up to 2n gives, and the parse
-condition holds for every prefix of a solution.  The search reads only
-the language, the square parse and ``has_params``, never the formula.
+It steps from one 1 to the next, and each word carries its first
+desubstitution, an (a, kinds, t) entry per live a: the kinds word its
+complete blocks commit and its trailing zero count t.  A zero run closes
+the block 1 0^a or 1 0^(a+1), so only runs of a or a + 1 zeros are tried.
+The second level, the b that hold a kinds word, is a bounded memo keyed on
+the kinds word alone until the kinds word has two 1s.  From then on b is
+pinned to at most two values, each is checked at the one block a new
+letter changes, and each carries its greedy square parse of the word,
+resumed at every new 1 where it stopped: a live a keeps only the b whose
+parse could still begin the square of a solution.  A leaf is decided from
+the same state: its square desubstitutes as kinds, a junction letter, kinds
+again and a tail letter, and its square parse resumes from the carried
+stop.  All of it is exact (see ``brute_force_solutions``).  The search
+reads only the language and the square parse, and ``has_params`` for 0^n,
+never the formula.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
 from .solutions import has_params
-from .squares import Params, _derive, _join_roots, _levels, _squares, scan_minimal_squares
+from .squares import _LASTINDEX, _derive, _levels, _roots, _scanner, _squares
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -159,9 +164,9 @@ def count_solutions(n: int, brute: bool = False) -> CountReport:
     return CountReport(n=n, formula_count=formula, brute_count=brute_count, per_divisor=per)
 
 
-# The searches for n = 1..60 ask about 8,600 distinct kinds words, each
-# along a few neighbouring branches, so a small table keeps most of the hits
-# and bounds its memory.
+# The searches for n = 1..60 ask about 815 distinct kinds words, those with
+# fewer than two 1s and the first with two along each branch, so a small
+# table holds them all and bounds its memory.
 @lru_cache(maxsize=2048)
 def _second_level(kinds: str) -> tuple[int, ...]:
     # The b up to the kinds word's length that hold it at the second level;
@@ -170,45 +175,104 @@ def _second_level(kinds: str) -> tuple[int, ...]:
     return tuple(b for b in _levels(kinds, 0, len(kinds)) if _derive(kinds, b) is not None)
 
 
-def _first_level(word: str) -> list[tuple[int, str, int]]:
-    # The state of a word that ends in its second 1: each a that holds it,
-    # with the kinds word it commits and no trailing zeros.  The zero run
-    # between the two 1s pins a below the word's length.
-    return [
-        (a, kinds, 0)
-        for a in _levels(word, 1, len(word))
-        if (kinds := _derive(word, a)) is not None and _second_level(kinds)
-    ]
+# One entry per pair that a search pins or a leaf tries; n = 1..60 use 461.
+@lru_cache(maxsize=1024)
+def _pair(a: int, b: int) -> tuple:
+    # The parse tables of Params(a, b): b, the scanner, the root of each
+    # scanner group (1-based), and the six squares, each after a "|".  The
+    # search pins only b <= |kinds| <= n // (a + 1) with a <= n, and a leaf
+    # tries b <= 2n // (a + 1), so squares._window leaves (a, b) as it is for
+    # every parse of w or w w, and these are the tables that parse uses.
+    return b, _scanner(a, b)[0], ("", *_roots(a, b)), "|" + "|".join(_squares(a, b))
 
 
-def _append(live: list[tuple[int, str, int]], letter: str) -> list[tuple[int, str, int]]:
-    # The state after appending *letter*.  A 0 grows the tail 1 0^t up to
-    # 1 0^(a+1), whose kinds letter 1 is provisional until the next 1; a 1
-    # commits the tail as 0 (t = a) or 1 (t = a + 1).
-    grown = []
-    for a, kinds, t in live:
-        if letter == "0":
-            if t < a or t == a and _second_level(kinds + "1"):
-                grown.append((a, kinds, t + 1))
-        elif t == a:
-            if _second_level(kinds + "0"):
-                grown.append((a, kinds + "0", 0))
-        elif t == a + 1:
-            grown.append((a, kinds + "1", 0))
-    return grown
+def _resume(word: str, q: int, pair: tuple) -> int:
+    # Resume the greedy square parse of *word* at q, where its roots spell
+    # word[:q/2]: where it stops now, or -1 if a new root differs from the
+    # word.  Each square is twice its root.
+    _, scanner, roots, _ = pair
+    joined = "".join(map(roots.__getitem__, map(_LASTINDEX, iter(scanner(word, q).match, None))))
+    return q + 2 * len(joined) if word.startswith(joined, q // 2) else -1
 
 
-def _parses(word: str, a: int, kinds: str) -> bool:
-    # Whether *word* can still begin the square of a solution for a and one
-    # of the b that its kinds word pins (see brute_force_solutions).
-    for b in _second_level(kinds):
-        params = Params(a, b)
-        indices, q = scan_minimal_squares(word, params)
-        rest = word[q:]
-        if word.startswith(_join_roots(indices, params, q)) and any(
-            square.startswith(rest) for square in _squares(a, b)
-        ):
-            return True
+def _committed(word: str, a: int, kinds: str, parses):
+    # The entry (a, kinds, 0, parses) once the 1 ending *word* has committed
+    # the last letter of *kinds*, or None if a drops out.  parses is None
+    # while kinds has fewer than two 1s; after that it lists (q, _pair(a, b))
+    # for each pinned b that holds kinds and whose parse of every prefix
+    # ending in 1 passed, q being where its parse of word stops.  A pinned b
+    # held kinds before its last letter, so _derive's rule at the one block
+    # that changed decides whether it still does: a 1 ends a zero run of b
+    # or b + 1 letters, and a 0 keeps the tail run within b + 1.  The rest
+    # word[q:] begins a square when "|" + rest occurs in the joined squares.
+    if parses is None:
+        held = _second_level(kinds)
+        if not held:
+            return None
+        if kinds.count("1") < 2:
+            return a, kinds, 0, None
+        parses = [(0, _pair(a, b)) for b in held]
+        low, high = 0, len(kinds)
+    else:
+        run = len(kinds) - 2 - kinds.rfind("1", 0, -1)
+        low, high = (run - 1, run) if kinds[-1] == "1" else (run, len(kinds))
+    kept = []
+    for q, pair in parses:
+        if low <= pair[0] <= high:
+            q = _resume(word, q, pair)
+            if q >= 0 and "|" + word[q:] in pair[3]:
+                kept.append((q, pair))
+    return (a, kinds, 0, kept) if kept else None
+
+
+def _first_level(word: str, head: int, run: int) -> list[tuple]:
+    # The state of word = 0^head 1 0^run 1, which ends in its second 1: what
+    # _derive(word, a) commits for each a that _levels allows.  The block
+    # 1 0^run is L (a = run - 1) or S (a = run), and the head zeros fit in
+    # one block, a whole L one (kinds letter 1) when there are a + 1.
+    live = []
+    for a in (run - 1, run):
+        if a and head <= a + 1:
+            kinds = ("1" if head == a + 1 else "") + ("0" if run == a else "1")
+            if entry := _committed(word, a, kinds, None):
+                live.append(entry)
+    return live
+
+
+def _leaf_has_params(word: str, live) -> bool:
+    """``has_params(word)`` for a leaf of the search, read off its state.
+
+    w w desubstitutes by a as kinds + J + kinds' + T: J is the kinds letter
+    of the junction block 1 0^(t+h), h being w's head zero run (0 for
+    t + h = a, 1 for a + 1, and no such a otherwise); kinds' is kinds
+    without the head L it has when h = a + 1; and T is a 1 when t = a + 1.
+    The live a include the a of every solution pair of w, and a pinned b
+    left out of parses has failed its parse, so only those pairs are tried.  A word with one 1
+    has no state: its square's one inner zero run has n - 1 letters, so a
+    is n - 2 or n - 1, kinds holds at most the head L and every b is
+    parsed from the start.  Only 0^n goes to ``has_params``.
+    """
+    head = word.find("1")
+    if head < 0:
+        return has_params(word)
+    n = len(word)
+    if live is None:
+        live = [(a, "1" if head == a + 1 else "", n - 1 - head, None) for a in (n - 2, n - 1) if a]
+    square = None
+    for a, kinds, t, parses in live:
+        run = t + head
+        if run != a and run != a + 1:
+            continue
+        doubled = kinds + ("0" if run == a else "1") + (kinds[1:] if head == a + 1 else kinds)
+        if t == a + 1:
+            doubled += "1"
+        if parses is None:
+            parses = [(0, _pair(a, b)) for b in _levels(doubled, 0, 2 * n // (a + 1))]
+        for q, pair in parses:
+            if _derive(doubled, pair[0]) is not None:
+                square = square or word + word
+                if _resume(square, q, pair) == 2 * n:
+                    return True
     return False
 
 
@@ -222,53 +286,87 @@ def brute_force_solutions(n: int) -> list[str]:
     bounds ``has_params`` applies to each word of length n, and they decide
     solution-hood.
 
-    Each prefix carries its first desubstitution: once it has two 1s, the
-    live (a, kinds, t) triples, one per a that still holds it, with the
-    kinds word its complete blocks commit and the length t of its trailing
-    zero run.  Each letter updates them in O(1).  The second level reads a
-    memo of the b that hold each kinds word: ``_derive`` caps b at the
-    word's length, and every kinds word here, the provisional kinds + "1"
-    included, has at most n/2 + 1 < 2n letters, so the memo is keyed on
-    the kinds word alone.
+    The search steps from one 1 to the next.  Each word ending in its
+    second or a later 1 carries the live (a, kinds, t, parses) entries, one
+    per a that still holds it, in increasing a: the kinds word its complete
+    blocks commit (led by an L when its head zeros are a whole long block),
+    and t = 0.  Its subtree is the word padded with zeros to n letters, then
+    each child word 0^z 1 for z from the largest down, which is
+    lexicographic order.  The run of z zeros closes the block 1 0^z, so the
+    child commits the letter 0 for a = z and 1 for a = z - 1, and every
+    other a drops out; the padded word keeps each a whose tail t is at most
+    a, or a + 1 where the provisional kinds + "1" holds.  The prefixes in
+    between, ending in 0, live exactly when one of these does, so these are
+    the leaves a letter-by-letter search reaches, in the same order.
 
-    When a 1 is appended, each live a whose committed kinds word has two 1s
-    (so b is one of at most two values) must also pass the square parse:
-    for some such b, the greedy minimal-square parse of the prefix p stops
-    at a q where its joined roots equal p[:q/2], and the rest p[q:] is a
-    proper prefix of one of the six squares of (a, b).  Every solution w
-    for (a, b) passes this at each of its prefixes p: w w parses into
-    minimal squares whose roots spell w; no minimal square is a prefix of
-    another, so the squares lying inside p are exactly p's own parse; the
-    next square starts at q and has p[q:] as a prefix; and the roots so far
-    spell w[:q/2] = p[:q/2].  So the prune drops no solution, and the
-    leaves still go to ``has_params``.
+    The second level reads a memo of the b that hold each kinds word:
+    ``_derive`` caps b at the word's length, and every kinds word here has
+    at most n/2 + 1 < 2n letters, so the memo is keyed on the kinds word
+    alone.  Once the kinds word has two 1s, its first inner zero run pins b
+    to at most two values, and b holds kinds + c exactly when it holds kinds
+    and c = 1 closes a zero run of b or b + 1 letters, or c = 0 leaves the
+    tail run at most b + 1: ``_derive``'s rule at the one block c changes.
+
+    Each live a whose kinds word has two 1s must also pass the square parse
+    at each appended 1: for some pinned b, the greedy minimal-square parse
+    of the prefix p stops at a q where its joined roots equal p[:q/2], and
+    the rest p[q:] is a proper prefix of one of the six squares of (a, b).
+    Every solution w for (a, b) passes this at each of its prefixes p: w w
+    parses into minimal squares whose roots spell w; no minimal square is a
+    prefix of another, so the squares lying inside p are exactly p's own
+    parse; the next square starts at q and has p[q:] as a prefix; and the
+    roots so far spell w[:q/2] = p[:q/2].  So the prune drops no solution.
+    The same fact makes a failure final: p's parse is a prefix of the parse
+    of every extension, so a root that differs from the word still does,
+    and a rest that begins no square stays where the parse stops.  So each
+    a carries only the b that passed, with the stop q of the parse, and an
+    appended 1 resumes the parse at q and checks only the new roots.
+
+    ``_leaf_has_params`` decides each leaf from its entries.  The live a
+    include the a of every solution pair of the leaf, and a pinned b not
+    carried has failed its parse, so these are all the pairs to try; the
+    square of the leaf desubstitutes by the junction rule in that
+    function's docstring, and its parse resumes at the carried q.
     """
     if n < 1:
         raise DomainError("brute_force_solutions needs n >= 1")
     found = []
-    stack = [("0", None)]
+    stack = [("", None)]
     while stack:
         word, live = stack.pop()
-        if len(word) == n:
-            if has_params(word):
-                found.append(word)
-            continue
-        # push the 1-child first so that words come off the stack in order
-        if word[-1] == "0":
-            child = word + "1"
-            if live is not None:
-                grown = _append(live, "1")
-            else:
-                grown = _first_level(child) if "1" in word else None
-            if grown:
-                grown = [
-                    (a, kinds, t)
-                    for a, kinds, t in grown
-                    if kinds.count("1") < 2 or _parses(child, a, kinds)
-                ]
-            if grown is None or grown:
-                stack.append((child, grown))
-        grown = None if live is None else _append(live, "0")
-        if grown is None or grown:
-            stack.append((word + "0", grown))
+        tail = n - len(word)
+        # the word padded with zeros comes first in its subtree; a tail of
+        # a + 1 zeros is a provisional L, asked of the second level's rule
+        # and not of its memo, which holds only committed kinds words
+        if live is None:
+            leaf = None
+        else:
+            leaf = [
+                (a, kinds, tail, parses)
+                for a, kinds, _, parses in live
+                if tail <= a or tail == a + 1 and _second_level.__wrapped__(kinds + "1")
+            ]
+        if (leaf is None or leaf) and _leaf_has_params(padded := word + "0" * tail, leaf):
+            found.append(padded)
+        # then each child word 0^z 1, the largest z first, so pushed last
+        if not word:
+            stack.extend(("0" * z + "1", None) for z in range(1, tail))
+        elif live is None:
+            head = len(word) - 1
+            for z in range(max(1, head - 1), tail):
+                child = word + "0" * z + "1"
+                if grown := _first_level(child, head, z):
+                    stack.append((child, grown))
+        else:
+            # live runs over increasing a, and z commits a = z (S) or z - 1 (L)
+            for z in range(live[0][0], min(live[-1][0] + 2, tail)):
+                child = word + "0" * z + "1"
+                grown = []
+                for a, kinds, _, parses in live:
+                    if z - 1 <= a <= z:
+                        entry = _committed(child, a, kinds + ("0" if z == a else "1"), parses)
+                        if entry:
+                            grown.append(entry)
+                if grown:
+                    stack.append((child, grown))
     return found

@@ -19,7 +19,7 @@ from sqword.enumeration import (
 )
 from sqword.errors import DomainError, NotADivisorError, NotCoprimeError
 from sqword.solutions import doubling_orbits, has_params
-from sqword.squares import _derive, _language_params, _levels, minimal_squares, parse
+from sqword.squares import Params, _derive, _language_params, _levels, minimal_squares, parse
 from test_squares import zero_runs
 
 # OEIS A000374: orbit counts of doubling mod n (first 21 terms).
@@ -76,20 +76,21 @@ def parse_admits(word, params):
     return word.startswith(fact.root()) and any(s.startswith(rest) for s in minimal_squares(params))
 
 
-def rederiving_dfs(n, parsed=True):
+def rederiving_dfs(n, parsed=True, leaves=None):
     """The DFS that desubstituted each prefix from scratch: the oracle for
     the state ``brute_force_solutions`` carries down the tree.  A child that
     ends in 1 also needs, unless *parsed* is false, a pair whose kinds word
     has fewer than two 1s (b is then not pinned) or that ``parse_admits``
-    it.  Its leaves go through ``sqword.enumeration.has_params``, as the
-    DFS's do."""
+    it.  Its leaves go to ``has_params``, and to *leaves* when given."""
     bound = 2 * n
     found = []
     stack = ["0"]
     while stack:
         word = stack.pop()
         if len(word) == n:
-            if sqword.enumeration.has_params(word):
+            if leaves is not None:
+                leaves.append(word)
+            if has_params(word):
                 found.append(word)
             continue
         for child in (word + "1", word + "0") if word[-1] == "0" else (word + "0",):
@@ -254,13 +255,45 @@ class TestCountSolutions:
 
 
 @pytest.fixture
-def leaves(monkeypatch):
-    """The words the DFS hands to ``has_params``, in order."""
+def decided(monkeypatch):
+    """Each leaf the DFS decides, in order: the word, its carried state and
+    the decision."""
     seen = []
-    original = sqword.enumeration.has_params
+    original = sqword.enumeration._leaf_has_params
+
+    def record(word, live):
+        result = original(word, live)
+        seen.append((word, live, result))
+        return result
+
+    monkeypatch.setattr("sqword.enumeration._leaf_has_params", record)
+    return seen
+
+
+@pytest.fixture
+def leaves(monkeypatch):
+    """The words the DFS decides at its leaves, in order.  ``rederiving_dfs``
+    adds its own leaves when handed the list."""
+    seen = []
+    original = sqword.enumeration._leaf_has_params
     monkeypatch.setattr(
-        "sqword.enumeration.has_params", lambda w, *caps: seen.append(w) or original(w, *caps)
+        "sqword.enumeration._leaf_has_params", lambda w, live: seen.append(w) or original(w, live)
     )
+    return seen
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """(word, carried state, decision) for each leaf the DFS decides, in
+    order."""
+    seen = []
+    original = sqword.enumeration._leaf_has_params
+
+    def record(word, live):
+        seen.append((word, live, original(word, live)))
+        return seen[-1][2]
+
+    monkeypatch.setattr("sqword.enumeration._leaf_has_params", record)
     return seen
 
 
@@ -294,18 +327,18 @@ class TestBruteForce:
         assert len(brute_force_solutions(33)) == 19
         assert len(leaves) == 784
         leaves.clear()
-        assert len(rederiving_dfs(33, parsed=False)) == 19
+        assert len(rederiving_dfs(33, parsed=False, leaves=leaves)) == 19
         assert len(leaves) == 1863
 
     def test_carried_state_equals_rederiving(self, leaves):
-        # The same leaves reach has_params in the same order, so the
-        # carried first level and the parse prune drop exactly what
-        # re-deriving and re-parsing each prefix did.
+        # The same leaves are decided in the same order, so the carried
+        # state and the parse prune drop exactly what re-deriving and
+        # re-parsing each prefix did.
         for n in range(1, 31):
             found = brute_force_solutions(n)
             carried = leaves[:]
             leaves.clear()
-            assert found == rederiving_dfs(n), n
+            assert found == rederiving_dfs(n, leaves=leaves), n
             assert carried == leaves, n
             leaves.clear()
 
@@ -316,11 +349,60 @@ class TestBruteForce:
             found = brute_force_solutions(n)
             pruned = leaves[:]
             leaves.clear()
-            solutions = rederiving_dfs(n, parsed=False)
+            solutions = rederiving_dfs(n, parsed=False, leaves=leaves)
             assert set(solutions) <= set(pruned) and solutions == found, n
             language = iter(leaves)
             assert all(word in language for word in pruned), n
             leaves.clear()
+
+    def test_leaf_decision_equals_has_params(self, decided):
+        # The decision read off the carried state is has_params at every
+        # leaf, solution or not, of every kind: 0^n, one 1, b still free
+        # and b pinned.
+        for n in range(1, 31):
+            brute_force_solutions(n)
+        assert all(result == has_params(word) for word, _, result in decided)
+        ones = {word.count("1") for word, _, _ in decided}
+        assert {0, 1, 2, 3} <= ones
+        entries = [entry for _, live, _ in decided for entry in live or ()]
+        assert {parses is None for _, _, _, parses in entries} == {True, False}
+        assert {result for _, _, result in decided} == {True, False}
+
+    def test_carried_state_equals_reparsing(self, decided):
+        # At each leaf, every live a carries what re-deriving and re-parsing
+        # the word up to its last 1 gives: the kinds word, the trailing
+        # zeros, and, once kinds has two 1s, each b of the second level
+        # whose parse admits that prefix, with the parse's stop.
+        for n in range(1, 27):
+            brute_force_solutions(n)
+        pinned = 0
+        for word, live, _ in decided:
+            for a, kinds, t, parses in live or ():
+                prefix = word[: len(word) - t]
+                assert prefix.endswith("1") and kinds == _derive(prefix, a), (word, a)
+                if kinds.count("1") < 2:
+                    assert parses is None, (word, a)
+                    continue
+                pinned += 1
+                expected = [
+                    (parse(prefix, Params(a, b)).consumed, b)
+                    for b in _second_level(kinds)
+                    if parse_admits(prefix, Params(a, b))
+                ]
+                assert [(q, pair[0]) for q, pair in parses] == expected, (word, a)
+        assert pinned > 800
+
+    def test_failed_parse_stays_failed(self):
+        # A pinned b that fails the parse condition is dropped for good: the
+        # parse of a prefix is a prefix of the parse of any extension, so
+        # the failure carries over to every longer word.
+        pairs = [Params(a, b) for a in range(1, 5) for b in range(4)]
+        for length in range(1, 15):
+            for word in _candidate_words(length):
+                for params in pairs:
+                    if not parse_admits(word, params):
+                        assert not parse_admits(word + "0", params), (word, params)
+                        assert not parse_admits(word + "01", params), (word, params)
 
     def test_memo_equals_bound_keyed_walk(self):
         # _derive caps b at the kinds word's length, so every bound at or
