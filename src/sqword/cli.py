@@ -37,10 +37,10 @@ from .words import slope
 
 # Caps on request sizes, so that no input can exhaust memory or run for
 # minutes: brute force keeps only O(n) prefixes on its stack but its time
-# grows with n (n = 60 takes about 0.5 s through the CLI on a 2-core box), the
-# formula factors n, its divisors and their totients by trial division (the
-# widest range ending at 10^6 takes about 4 s on that box), the word 0 is a
-# solution for every (a, b) within explicit bounds, and `orbits --n 10^6`
+# grows with n (n = 60 takes about 0.35 s through the CLI on a 2-core box),
+# the formula factors n, its divisors and their totients by trial division
+# (the widest range ending at 10^6 takes about 4 s on that box), the word 0 is
+# a solution for every (a, b) within explicit bounds, and `orbits --n 10^6`
 # peaks at about 72 MB of RSS (115 MB with --format text, whose longest line
 # lists 800,000 residues).  Words read or built are capped too.  The `sl`
 # stream's memory follows --length; fixed_point_stream bounds its --c.

@@ -16,21 +16,13 @@ that start with 0 (one representative per symmetry class) and avoid 11 (no
 solution contains 11) depth first, and keeps those admitting parameters.
 The factor language is closed under factors and holds the square of every
 solution, so the search drops each prefix that no parameter pair admits.
-It steps from one 1 to the next, and each word carries its first
-desubstitution, an (a, kinds, t) entry per live a: the kinds word its
-complete blocks commit and its trailing zero count t.  A zero run closes
-the block 1 0^a or 1 0^(a+1), so only runs of a or a + 1 zeros are tried.
-The second level, the b that hold a kinds word, is a bounded memo keyed on
-the kinds word alone until the kinds word has two 1s.  From then on b is
-pinned to at most two values, each is checked at the one block a new
-letter changes, and each carries its greedy square parse of the word,
-resumed at every new 1 where it stopped: a live a keeps only the b whose
-parse could still begin the square of a solution.  A leaf is decided from
-the same state: its square desubstitutes as kinds, a junction letter, kinds
-again and a tail letter, and its square parse resumes from the carried
-stop.  All of it is exact (see ``brute_force_solutions``).  The search
-reads only the language and the square parse, and ``has_params`` for 0^n,
-never the formula.
+It steps from one 1 to the next.  Each word carries its first
+desubstitution for every live a and, once b is pinned to at most two
+values, each pinned b's greedy square parse, which resumes where it stopped
+at every new 1.  A leaf is decided from that state: its square desubstitutes by a
+junction rule, and its parse resumes from the carried stop.  All of it is
+exact (see ``brute_force_solutions``).  The search reads only the language
+and the square parse, and ``has_params`` for 0^n, never the formula.
 """
 
 from __future__ import annotations
@@ -195,7 +187,7 @@ def _resume(word: str, q: int, pair: tuple) -> int:
     return q + 2 * len(joined) if word.startswith(joined, q // 2) else -1
 
 
-def _committed(word: str, a: int, kinds: str, parses):
+def _committed(word: str, a: int, kinds: str, parses: list | None) -> tuple | None:
     # The entry (a, kinds, 0, parses) once the 1 ending *word* has committed
     # the last letter of *kinds*, or None if a drops out.  parses is None
     # while kinds has fewer than two 1s; after that it lists (q, _pair(a, b))
@@ -239,17 +231,27 @@ def _first_level(word: str, head: int, run: int) -> list[tuple]:
     return live
 
 
+def _doubled(kinds: str, a: int, t: int, head: int) -> str | None:
+    # _derive(w w, a) from the entry (a, kinds, t) of w and its head zero
+    # run: kinds, the letter of the junction block 1 0^(t+head), and kinds
+    # without the head L it has when head = a + 1; None if the junction is
+    # no block of a.  w starts with 0, so a tail of a + 1 zeros makes the
+    # junction too long, and w w never ends in a provisional L.
+    run = t + head
+    if run != a and run != a + 1:
+        return None
+    return kinds + ("0" if run == a else "1") + (kinds[1:] if head == a + 1 else kinds)
+
+
 def _leaf_has_params(word: str, live) -> bool:
     """``has_params(word)`` for a leaf of the search, read off its state.
 
-    w w desubstitutes by a as kinds + J + kinds' + T: J is the kinds letter
-    of the junction block 1 0^(t+h), h being w's head zero run (0 for
-    t + h = a, 1 for a + 1, and no such a otherwise); kinds' is kinds
-    without the head L it has when h = a + 1; and T is a 1 when t = a + 1.
-    The live a include the a of every solution pair of w, and a pinned b
-    left out of parses has failed its parse, so only those pairs are tried.  A word with one 1
-    has no state: its square's one inner zero run has n - 1 letters, so a
-    is n - 2 or n - 1, kinds holds at most the head L and every b is
+    w w desubstitutes by each live a as ``_doubled`` says, and its parse
+    resumes at the stop carried for each pinned b.  The live a include the
+    a of every solution pair of w, and a pinned b left out of the entry has
+    failed its parse, so only those pairs are tried.  A word with one 1
+    carries no state: its square's one inner zero run has n - 1 letters, so
+    a is n - 2 or n - 1, kinds holds at most the head L, and every b is
     parsed from the start.  Only 0^n goes to ``has_params``.
     """
     head = word.find("1")
@@ -260,12 +262,9 @@ def _leaf_has_params(word: str, live) -> bool:
         live = [(a, "1" if head == a + 1 else "", n - 1 - head, None) for a in (n - 2, n - 1) if a]
     square = None
     for a, kinds, t, parses in live:
-        run = t + head
-        if run != a and run != a + 1:
+        doubled = _doubled(kinds, a, t, head)
+        if doubled is None:
             continue
-        doubled = kinds + ("0" if run == a else "1") + (kinds[1:] if head == a + 1 else kinds)
-        if t == a + 1:
-            doubled += "1"
         if parses is None:
             parses = [(0, _pair(a, b)) for b in _levels(doubled, 0, 2 * n // (a + 1))]
         for q, pair in parses:
@@ -324,9 +323,11 @@ def brute_force_solutions(n: int) -> list[str]:
 
     ``_leaf_has_params`` decides each leaf from its entries.  The live a
     include the a of every solution pair of the leaf, and a pinned b not
-    carried has failed its parse, so these are all the pairs to try; the
-    square of the leaf desubstitutes by the junction rule in that
-    function's docstring, and its parse resumes at the carried q.
+    carried has failed its parse, so these are all the pairs to try.  The
+    leaf's square desubstitutes as kinds + J + kinds', where J is the
+    letter of the junction block 1 0^(t+h) (h the head zero run) and kinds'
+    drops the head L, which is what ``_derive`` reads off the square; its
+    parse resumes at the carried q.
     """
     if n < 1:
         raise DomainError("brute_force_solutions needs n >= 1")

@@ -7,6 +7,7 @@ import pytest
 
 import sqword.enumeration
 from sqword.enumeration import (
+    _doubled,
     _second_level,
     brute_force_solutions,
     count_solutions,
@@ -367,6 +368,24 @@ class TestBruteForce:
         entries = [entry for _, live, _ in decided for entry in live or ()]
         assert {parses is None for _, _, _, parses in entries} == {True, False}
         assert {result for _, _, result in decided} == {True, False}
+
+    def test_junction_rule_equals_rederiving_the_square(self, decided):
+        # The square's kinds word read off each live entry is what _derive
+        # gives on w w, and a word with one 1 holds only a = n - 2 or n - 1.
+        for n in range(1, 27):
+            brute_force_solutions(n)
+        for word, live, _ in decided:
+            head = word.find("1")
+            for a, kinds, t, _ in live or ():
+                assert _doubled(kinds, a, t, head) == _derive(word + word, a), (word, a)
+        for n in range(2, 41):
+            for head in range(1, n):
+                word = "0" * head + "1" + "0" * (n - 1 - head)
+                held = {a for a in range(1, 2 * n + 1) if _derive(word + word, a) is not None}
+                assert held <= {n - 2, n - 1}, word
+                for a in held:
+                    kinds = "1" if head == a + 1 else ""
+                    assert _doubled(kinds, a, n - 1 - head, head) == _derive(word + word, a)
 
     def test_carried_state_equals_reparsing(self, decided):
         # At each leaf, every live a carries what re-deriving and re-parsing
