@@ -19,10 +19,11 @@ solution, so the search drops each prefix that no parameter pair admits.
 It steps from one 1 to the next.  Each word carries its first
 desubstitution for every live a and, once b is pinned to at most two
 values, each pinned b's greedy square parse, which resumes where it stopped
-at every new 1.  A leaf is decided from that state: its square desubstitutes by a
-junction rule, and its parse resumes from the carried stop.  All of it is
-exact (see ``brute_force_solutions``).  The search reads only the language
-and the square parse, and ``has_params`` for 0^n, never the formula.
+at every new 1.  A leaf is decided from that state: its square
+desubstitutes by a junction rule, and its parse resumes from the carried
+stop.  All of it is exact (see ``brute_force_solutions``).  The search
+reads only the language and the square parse, and ``has_params`` for 0^n,
+never the formula.
 """
 
 from __future__ import annotations

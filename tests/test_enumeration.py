@@ -283,21 +283,6 @@ def leaves(monkeypatch):
     return seen
 
 
-@pytest.fixture
-def decided(monkeypatch):
-    """(word, carried state, decision) for each leaf the DFS decides, in
-    order."""
-    seen = []
-    original = sqword.enumeration._leaf_has_params
-
-    def record(word, live):
-        seen.append((word, live, original(word, live)))
-        return seen[-1][2]
-
-    monkeypatch.setattr("sqword.enumeration._leaf_has_params", record)
-    return seen
-
-
 class TestBruteForce:
     def test_small_listings(self):
         assert brute_force_solutions(1) == ["0"]
