@@ -42,6 +42,10 @@ ROWS = [
     ('fixedpoint --kind nosquare --a 3 --length 10000 --format text', 0, '6ed39bc9a68ea3a19e7f7196ec3771b8da56dd39', ''),
     ('fixedpoint --kind biperiodic --a 1 --length 10000', 0, 'cfda0be31eaedb79d12bc40287b8bfd4947af017', ''),
     ('fixedpoint --kind sl --word 01010010 --a 1 --length 17', 0, '1375f7a9559ce53966c60326c983298c15d696c4', ''),
+    # the three kinds at 10^6 letters, past the flat levels of their streams
+    ('fixedpoint --kind nosquare --a 1 --length 1000000', 0, '72c42f2e4a103a8c896778bc17cf558cea81375c', ''),
+    ('fixedpoint --kind biperiodic --a 3 --length 1000000', 0, 'd884df411d2dbd31fc7eeec3f5e9850e6252f7b4', ''),
+    ('fixedpoint --kind sl --word 01010010 --c 2 --length 1000000', 0, '657ad1a00b3cc21764a72e914276ab00e467df45', ''),
     ('--format text gen fibonacci --k 6', 0, 'a5a5e2e72f23304b4d81e2fe16bb79faa7d58a54', ''),
     ('gen fibonacci --k 6 --format text', 0, 'a5a5e2e72f23304b4d81e2fe16bb79faa7d58a54', ''),
     ('gen standard --directive 2,1 --format text', 0, 'ff30e07b1a449675480220b2c60e57b6bbb6bb8e', ''),
@@ -73,6 +77,8 @@ ROWS = [
     ('sqrt --word 01x --a 1', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
     ('period --word 01x', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
     ('fixedpoint --kind nosquare --length 10', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: kind 'nosquare' needs --a"),
+    ('fixedpoint --kind nosquare --a 0 --length 5', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: parameter a must be >= 1, got 0'),
+    ('fixedpoint --kind biperiodic --a 0 --length 5', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: parameter a must be >= 1, got 0'),
     ('fixedpoint --kind sl --length 10', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: kind 'sl' needs --word with a reversed standard block"),
     ('fixedpoint --kind sl --word 01010010 --length 0', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: prefix length must be >= 1'),
     ('fixedpoint --kind sl --word 01010010 --a 5 --length 17', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: --a 5 conflicts with the block's natural value 1"),
