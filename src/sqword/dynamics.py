@@ -32,7 +32,7 @@ from .squares import (
 from .standard import natural_params
 from .words import are_conjugate, check_binary, check_nonempty, exchange_first_two
 
-# the largest index tuple a stream level is built as, see fixed_point_stream
+# the largest index tuple a stream level is built as, see _tower
 _LEAF = 1 << 14
 
 BlockFactory = Callable[[], Iterator[int]]
@@ -126,6 +126,31 @@ def fixed_point_solutions(block: str, c: int = 1) -> Iterator[str]:
     return _chain(block, c)
 
 
+def _tower(base, recipes, head: Blocks, tail) -> BlockFactory:
+    """The blocks head · tail_0 · tail_1 · ..., where tail_j spells the runs
+    of (piece, times) in *tail* over level j; level 0 is *base*, and piece
+    p of level j + 1 spells the runs of recipes[p] over level j."""
+    # A level is built as flat tuples only while its pieces fit in _LEAF
+    # indices; above that a piece is a lazy walk over the level below, and
+    # runs repeat a flat piece by reference, so memory follows the prefix
+    # read, not the level that covers it.
+    levels = [tuple(base)]
+
+    def leaves(j: int, runs) -> Iterator[Blocks]:
+        # the flat tuples that spell the runs of (piece, times) over level j
+        if j < len(levels):
+            return chain.from_iterable(repeat(levels[j][p], n) for p, n in runs)
+        return chain.from_iterable(leaves(j - 1, recipes[p]) for p, n in runs for _ in range(n))
+
+    while max(sum(n * len(levels[-1][p]) for p, n in runs) for runs in recipes) <= _LEAF:
+        last = len(levels) - 1
+        levels.append(tuple(tuple(chain.from_iterable(leaves(last, runs))) for runs in recipes))
+    # a fresh walk per call: prefix_blocks asks for a new iterator each time
+    return lambda: chain.from_iterable(
+        chain([head], chain.from_iterable(leaves(j, tail) for j in count()))
+    )
+
+
 def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
     """The fixed point with prefixes Z0, Z2, Z4, ... as a block stream.
 
@@ -138,10 +163,7 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
         where tail_j = zz*(c-1) + zx + zz*c.
 
     So Z(j+2) Z(j+2) = Zj Zj tail_j tail_(j+1), and the stream is
-    Z0 Z0 tail_0 tail_1 ...  A level is built as flat tuples only while its
-    pieces fit in _LEAF indices; above that a piece is a lazy walk over the
-    level below, and runs repeat a flat piece by reference, so memory
-    follows the prefix read, not the chain level that covers it.
+    Z0 Z0 tail_0 tail_1 ..., walked by _tower.
 
     Only X0 Z0, Z0 Z0 and Z0 X0 are parsed, when the stream is made; one
     that does not factor completely, or whose root is not its first half,
@@ -161,62 +183,38 @@ def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
         if fact.root() != half:
             raise NotInPiError(f"fixed-point piece {name} does not have the root {name[:2]}")
         base.append(fact.indices)
-    # the pieces xz, zz, zx (0, 1, 2) of level j + 1 as runs of level-j pieces
+    # the pieces xz, zz, zx are 0, 1, 2
     tail = ((1, c - 1), (2, 1), (1, c))
     recipes = (((1, 1), *tail), ((0, 1), *tail), ((0, 1), (1, 2 * c)))
-    levels = [tuple(base)]
-
-    def leaves(j: int, runs) -> Iterator[Blocks]:
-        # the flat tuples that spell the runs of (piece, times) over level j
-        if j < len(levels):
-            return chain.from_iterable(repeat(levels[j][p], n) for p, n in runs)
-        return chain.from_iterable(leaves(j - 1, recipes[p]) for p, n in runs for _ in range(n))
-
-    while max(sum(n * len(levels[-1][p]) for p, n in runs) for runs in recipes) <= _LEAF:
-        last = len(levels) - 1
-        levels.append(tuple(tuple(chain.from_iterable(leaves(last, runs))) for runs in recipes))
     return SquareStream(
-        params,
-        # a fresh walk per call: prefix_blocks asks for a new iterator each time
-        lambda: chain.from_iterable(
-            chain([levels[0][1]], chain.from_iterable(leaves(j, tail) for j in count()))
-        ),
-        f"square-root fixed point over {block}",
+        params, _tower(base, recipes, base[1], tail), f"square-root fixed point over {block}"
     )
 
 
 def no_square_prefix_word(a: int = 1) -> SquareStream:
     """The aperiodic fixed point with exactly one square prefix (b = 0).
 
-    Head blocks are the squares of the fifth and sixth roots; the doubling
-    groups alternate third- and sixth-root squares, except that the very
-    first group only factors after regrouping, as squares 2, 1, 6.
+    Its blocks are H T σ(T) σ²(T) ..., with H = 5, 6, 2, 1, 6, T = 3, 6, 3,
+    6 and σ repeating each block twice.  The roots of σ(B) spell the squares
+    of B for any blocks B, so the stream is a fixed point of the square-root
+    map exactly when the squares of H spell the roots of H then T.
     """
     params = Params(a, 0)
-
-    def gen() -> Iterator[int]:
-        # groups of 2^e third-root squares then 2^e sixth-root ones, twice per e
-        runs = (repeat(k, 1 << e) for e in count() for k in (3, 6, 3, 6))
-        return chain((5, 6, 2, 1, 6), chain.from_iterable(runs))
-
-    return SquareStream(params, gen, f"single-square-prefix fixed point, a={a}")
+    tower = _tower(((3,), (6,)), (((0, 2),), ((1, 2),)), (5, 6, 2, 1, 6),
+                   ((0, 1), (1, 1), (0, 1), (1, 1)))
+    return SquareStream(params, tower, f"single-square-prefix fixed point, a={a}")
 
 
 def two_periodic_word(a: int = 1) -> SquareStream:
     """An aperiodic word moved by the square-root map but restored by its
     second iterate (b = 0).
 
-    Blocks: squares 2, 1, then alternating runs of sixth- and third-root
-    squares with run lengths (2, 2), (6, 8), and quadrupling afterwards.
+    Its blocks are H T σ(T) σ²(T) ..., with H = 2, 1, 6, 6, 3, 3, T = 6⁶ 3⁸
+    and σ quadrupling each run.
     """
     params = Params(a, 0)
-
-    def gen() -> Iterator[int]:
-        # after (2, 2): 6 * 4^e sixth-root squares, then 8 * 4^e third-root ones
-        runs = (repeat(k, n << 2 * e) for e in count() for k, n in ((6, 6), (3, 8)))
-        return chain((2, 1, 6, 6, 3, 3), chain.from_iterable(runs))
-
-    return SquareStream(params, gen, f"two-periodic point, a={a}")
+    tower = _tower(((6,), (3,)), (((0, 4),), ((1, 4),)), (2, 1, 6, 6, 3, 3), ((0, 6), (1, 8)))
+    return SquareStream(params, tower, f"two-periodic point, a={a}")
 
 
 def square_prefixes(word: str) -> list[int]:

@@ -24,6 +24,7 @@ from sqword.errors import (
     EmptyAfterTrimError,
     EmptyWordError,
     InvalidLetterError,
+    InvalidParamsError,
     NotInPiError,
     PreconditionFailedError,
 )
@@ -260,6 +261,22 @@ class TestStreams:
             assert trace[:5] == (5, 6, 2, 1, 6)
             assert parse(word, stream.params).complete and in_language(word, stream.params)
 
+    def test_no_square_prefix_certificate(self):
+        # the blocks are H T σ(T) ..., σ repeating each block twice: the
+        # roots of σ(T) spell the squares of T, and the squares of H the
+        # roots of H then T, so the stream is exactly its own square root
+        head, tail, doubled = (5, 6, 2, 1, 6), (3, 6, 3, 6), (3, 3, 6, 6, 3, 3, 6, 6)
+
+        def spell(words, blocks):
+            return "".join(words[i - 1] for i in blocks)
+
+        for a in range(1, 101):
+            stream = no_square_prefix_word(a)
+            assert tuple(itertools.islice(stream.block_factory(), 17)) == head + tail + doubled
+            squares, roots = minimal_squares(stream.params), minimal_square_roots(stream.params)
+            assert spell(squares, tail) == spell(roots, doubled), a
+            assert spell(squares, head) == spell(roots, head + tail), a
+
     def test_two_periodic_block_counts(self):
         stream = two_periodic_word(1)
         trace = []
@@ -289,8 +306,10 @@ class TestStreams:
             # 0^n leaves the language of (1, 0) from three zeros on
             (lambda: verify_fixed_point(SquareStream(P10, lambda: itertools.repeat(1), "zeros"), 10),
              NotInPiError, "stream 'zeros' emitted a prefix outside its language"),
+            (lambda: no_square_prefix_word(0), InvalidParamsError, "parameter a must be >= 1, got 0"),
+            (lambda: two_periodic_word(0), InvalidParamsError, "parameter a must be >= 1, got 0"),
         ],
-        ids=["verify-length", "shift-block", "verify-language"],
+        ids=["verify-length", "shift-block", "verify-language", "nosquare-a", "biperiodic-a"],
     )
     def test_domain_errors(self, check, error, message):
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
@@ -316,13 +335,17 @@ class TestChunkedPrefix:
                 assert stream.prefix_blocks(n) == prefix_blocks_loop(stream, n), stream.description
 
     @pytest.mark.parametrize("a", [1, 2, 3])
-    def test_factories_equal_generators(self, a):
+    def test_factories_equal_generators(self, a, monkeypatch):
+        # leaves of one and two indices walk every level lazily from the base
         for make, oracle in (
             (no_square_prefix_word, no_square_prefix_blocks),
             (two_periodic_word, two_periodic_blocks),
         ):
-            blocks = make(a).block_factory()
-            assert list(itertools.islice(blocks, 10**5)) == list(itertools.islice(oracle(), 10**5))
+            expected = list(itertools.islice(oracle(), 10**5))
+            for leaf in (1, 2, 1 << 14):
+                monkeypatch.setattr(sqword.dynamics, "_LEAF", leaf)
+                blocks = make(a).block_factory()
+                assert list(itertools.islice(blocks, 10**5)) == expected, (make.__name__, leaf)
 
     def test_finite_factory_ends_early(self):
         stream = SquareStream(P10, lambda: iter([1] * 100), "finite")
@@ -388,16 +411,18 @@ class TestResumedParse:
             fixed_point_stream(BLOCK, 1)
 
     def test_prefix_memory_follows_the_length(self):
-        # the chain level covering 10^6 letters is walked, not built: the
-        # peak is the prefix, its trace and leaves of at most _LEAF indices
-        stream = fixed_point_stream(BLOCK, 1)
-        tracemalloc.start()
-        try:
-            stream.prefix_blocks(10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # the level covering 10^6 letters is walked, not built: the peak is
+        # the prefix, its trace and leaves of at most _LEAF indices
+        for make in (lambda: fixed_point_stream(BLOCK, 1), lambda: no_square_prefix_word(1),
+                     lambda: two_periodic_word(1)):
+            tracemalloc.start()
+            try:
+                stream = make()
+                stream.prefix_blocks(10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, stream.description
 
     def test_stuck_base_piece(self, monkeypatch):
         # exchange(Z0) with its last letter flipped: X0 Z0 sticks at position 6
