@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import asdict, dataclass
-from itertools import chain, count, islice, repeat
+from itertools import accumulate, chain, count, repeat, takewhile
 from typing import Callable, Iterator
 
 from .errors import (
@@ -23,61 +25,68 @@ from .errors import (
 )
 from .squares import (
     Params,
-    _join_roots,
     _s6_length,
     in_language,
+    minimal_square_roots,
     minimal_squares,
     parse,
 )
 from .standard import natural_params
 from .words import are_conjugate, check_binary, check_nonempty, exchange_first_two
 
-# the largest index tuple a stream level is built as, see _tower
-_LEAF = 1 << 14
+# the largest leaf a tower builds (see _tower): a small leaf repeats, and a repeat is not re-spelled
+_LEAF = 1 << 11
 
-BlockFactory = Callable[[], Iterator[int]]
 Blocks = tuple[int, ...]
+BlockFactory = Callable[[], Iterator[Blocks]]
 
 
 @dataclass(frozen=True)
 class SquareStream:
     """A lazily generated infinite word given as minimal-square blocks.
 
-    ``block_factory`` returns a fresh iterator of root indices (1..6), each
-    contributing the square of that root to the word.  The emitted word is a
-    product of minimal squares at every block boundary by construction.
+    ``block_factory`` returns a fresh iterator of leaves: tuples of root
+    indices (1..6), each adding the square of its root to the word, a leaf
+    yielded again by reference being spelled once per prefix.  The word is
+    a product of minimal squares at every block boundary by construction.
     """
 
     params: Params
     block_factory: BlockFactory
     description: str
 
-    def prefix_blocks(self, min_len: int) -> tuple[str, tuple[int, ...]]:
-        """Materialize whole blocks until at least *min_len* letters."""
+    def _leaves(self, min_len: int) -> tuple[list[Blocks], str]:
+        # The leaves up to the one reaching min_len letters, cut after the block
+        # reaching it, and the prefix they spell.  Each distinct leaf is spelled
+        # once, keyed by its id; the memo holds the leaf, so no id is reused.
         if min_len < 1:
             raise DomainError("prefix length must be >= 1")
         squares = dict(enumerate(minimal_squares(self.params), 1))
-        lengths = {idx: len(square) for idx, square in squares.items()}
-        longest = max(lengths.values())
-        blocks = self.block_factory()
-        trace: list[int] = []
-        total = 0
-        while total < min_len:
-            # a chunk this short stays under min_len before its last block,
-            # so the loop stops on the same block as a block-by-block one
-            chunk = tuple(islice(blocks, max(1, (min_len - total) // longest)))
-            if not chunk:
-                raise DomainError(
-                    f"stream {self.description!r} ended before {min_len} letters"
-                )
-            try:
-                total += sum(map(lengths.__getitem__, chunk))
-            except KeyError as exc:
-                raise DomainError(
-                    f"stream {self.description!r} emitted block index {exc.args[0]!r}"
-                ) from None
-            trace += chunk
-        return "".join(map(squares.__getitem__, trace)), tuple(trace)
+        spelled, leaves, words, total = {}, [], [], 0
+        for leaf in self.block_factory():
+            if id(leaf) not in spelled:
+                with suppress(KeyError):  # a bad index: this leaf is read block by block
+                    spelled[id(leaf)] = leaf, "".join(map(squares.__getitem__, leaf))
+            word = spelled.get(id(leaf), (leaf, None))[1]
+            if word is not None and total + len(word) < min_len:
+                leaves.append(leaf)
+                words.append(word)
+                total += len(word)
+                continue
+            # the letters after each block, up to the first bad index
+            good = map(squares.__getitem__, takewhile(squares.__contains__, leaf))
+            ends = list(accumulate(map(len, good), initial=total))
+            cut = bisect_left(ends, min_len)
+            if cut == len(ends):
+                raise DomainError(f"stream {self.description!r} emitted block index {leaf[cut - 1]!r}")
+            leaves.append(leaf[:cut])
+            return leaves, "".join(chain(words, map(squares.__getitem__, leaf[:cut])))
+        raise DomainError(f"stream {self.description!r} ended before {min_len} letters")
+
+    def prefix_blocks(self, min_len: int) -> tuple[str, tuple[int, ...]]:
+        """Materialize whole blocks until at least *min_len* letters."""
+        leaves, prefix = self._leaves(min_len)
+        return prefix, tuple(chain.from_iterable(leaves))
 
     def prefix(self, min_len: int) -> str:
         return self.prefix_blocks(min_len)[0]
@@ -127,28 +136,33 @@ def fixed_point_solutions(block: str, c: int = 1) -> Iterator[str]:
 
 
 def _tower(base, recipes, head: Blocks, tail) -> BlockFactory:
-    """The blocks head · tail_0 · tail_1 · ..., where tail_j spells the runs
-    of (piece, times) in *tail* over level j; level 0 is *base*, and piece
-    p of level j + 1 spells the runs of recipes[p] over level j."""
+    """The leaves head, tail_0, tail_1, ..., where tail_j spells the runs of
+    (piece, times) in *tail* over level j; level 0 is *base*, and piece p
+    of level j + 1 spells the runs of recipes[p] over level j."""
     # A level is built as flat tuples only while its pieces fit in _LEAF
-    # indices; above that a piece is a lazy walk over the level below, and
-    # runs repeat a flat piece by reference, so memory follows the prefix
-    # read, not the level that covers it.
-    levels = [tuple(base)]
+    # indices; above that a piece is a lazy walk over the level below.  Runs
+    # repeat a flat piece by reference, a run longer than a leaf as one leaf
+    # of k copies built once per piece, so memory follows the prefix read,
+    # not the level that covers it, and a huge c still walks long leaves.
+    levels, wide = [tuple(base)], {}
+
+    def run(j: int, p: int, n: int) -> Iterator[Blocks]:
+        piece, k = levels[j][p], max(1, _LEAF // len(levels[j][p]))
+        if n > k and (j, p) not in wide:
+            wide[j, p] = piece * k
+        return chain(repeat(wide[j, p], n // k), repeat(piece, n % k)) if n > k else repeat(piece, n)
 
     def leaves(j: int, runs) -> Iterator[Blocks]:
         # the flat tuples that spell the runs of (piece, times) over level j
         if j < len(levels):
-            return chain.from_iterable(repeat(levels[j][p], n) for p, n in runs)
+            return chain.from_iterable(run(j, p, n) for p, n in runs)
         return chain.from_iterable(leaves(j - 1, recipes[p]) for p, n in runs for _ in range(n))
 
     while max(sum(n * len(levels[-1][p]) for p, n in runs) for runs in recipes) <= _LEAF:
         last = len(levels) - 1
         levels.append(tuple(tuple(chain.from_iterable(leaves(last, runs))) for runs in recipes))
     # a fresh walk per call: prefix_blocks asks for a new iterator each time
-    return lambda: chain.from_iterable(
-        chain([head], chain.from_iterable(leaves(j, tail) for j in count()))
-    )
+    return lambda: chain([head], chain.from_iterable(leaves(j, tail) for j in count()))
 
 
 def fixed_point_stream(block: str, c: int = 1) -> SquareStream:
@@ -293,21 +307,22 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
     and compares against the stream's own prefix.  A prefix that fails the
     factor-language check signals a construction bug and raises.
 
-    The first root is read off the emitted blocks instead of a parse: the
-    prefix is the product of their squares, and no minimal square is a
-    prefix of another, so the greedy parse of the prefix is the block
-    sequence itself.  Only the later iterations parse.
+    The first root is read off the emitted leaves, each distinct leaf spelled
+    once, instead of a parse: the prefix is the product of their squares, and
+    no minimal square is a prefix of another, so the greedy parse of the
+    prefix is the block sequence itself.  Only the later iterations parse.
     """
     if target_len < 1 or iterations < 1:
         raise DomainError("target length and iteration count must be >= 1")
-    word, trace = stream.prefix_blocks(target_len)
+    leaves, word = stream._leaves(target_len)
     if not in_language(word, stream.params):
         raise NotInPiError(
             f"stream {stream.description!r} emitted a prefix outside its language"
         )
-    current = _join_roots(trace, stream.params, len(word))
-    # one entry per block: let it go before the later parses build their own
-    del trace
+    roots = dict(enumerate(minimal_square_roots(stream.params), 1))
+    distinct = {id(leaf): leaf for leaf in leaves}  # leaves holds each, so no id is reused
+    spelled = {key: "".join(map(roots.__getitem__, leaf)) for key, leaf in distinct.items()}
+    current = "".join([spelled[id(leaf)] for leaf in leaves])
     for _ in range(iterations - 1):
         current = parse(current, stream.params).root()
         if not current:

@@ -41,6 +41,7 @@ from sqword.standard import central_word, natural_params, standard_from_directiv
 from sqword.words import are_conjugate, exchange_first_two
 
 P10 = Params(1, 0)
+DEFAULT_LEAF = sqword.dynamics._LEAF
 BLOCK = "01010010"
 # reversed standard blocks of 84..91 letters with a = 1, 2, 3, the sizes the
 # stream benchmark draws
@@ -60,7 +61,7 @@ def reparse_stream(block: str, c: int) -> SquareStream:
             fact = parse(word + word, params)
             if not fact.complete:
                 raise NotInPiError(f"fixed-point prefix failed to factor at position {fact.consumed}")
-            yield from fact.indices[emitted:]
+            yield fact.indices[emitted:]
             emitted = len(fact.indices)
 
     return SquareStream(params, gen, f"re-parsed fixed point over {block}")
@@ -98,10 +99,10 @@ def verify_by_parsing(stream: SquareStream, target_len: int, iterations: int = 1
 
 
 def prefix_blocks_loop(stream: SquareStream, min_len: int) -> tuple[str, tuple[int, ...]]:
-    """The block-by-block oracle for the chunked ``prefix_blocks``."""
+    """The block-by-block oracle for the leaf walk of ``prefix_blocks``."""
     squares = dict(enumerate(minimal_squares(stream.params), 1))
     parts, trace, total = [], [], 0
-    for idx in stream.block_factory():
+    for idx in itertools.chain.from_iterable(stream.block_factory()):
         try:
             square = squares[idx]
         except KeyError:
@@ -114,6 +115,14 @@ def prefix_blocks_loop(stream: SquareStream, min_len: int) -> tuple[str, tuple[i
     if total < min_len:
         raise DomainError(f"stream {stream.description!r} ended before {min_len} letters")
     return "".join(parts), tuple(trace)
+
+
+def outcome(verify, stream: SquareStream, n: int, iterations: int):
+    """A verify call's result, or EmptyAfterTrimError if the root vanished."""
+    try:
+        return verify(stream, n, iterations)
+    except EmptyAfterTrimError:
+        return EmptyAfterTrimError
 
 
 def no_square_prefix_blocks():
@@ -272,7 +281,8 @@ class TestStreams:
 
         for a in range(1, 101):
             stream = no_square_prefix_word(a)
-            assert tuple(itertools.islice(stream.block_factory(), 17)) == head + tail + doubled
+            blocks = itertools.chain.from_iterable(stream.block_factory())
+            assert tuple(itertools.islice(blocks, 17)) == head + tail + doubled
             squares, roots = minimal_squares(stream.params), minimal_square_roots(stream.params)
             assert spell(squares, tail) == spell(roots, doubled), a
             assert spell(squares, head) == spell(roots, head + tail), a
@@ -280,7 +290,7 @@ class TestStreams:
     def test_two_periodic_block_counts(self):
         stream = two_periodic_word(1)
         trace = []
-        for idx in stream.block_factory():
+        for idx in itertools.chain.from_iterable(stream.block_factory()):
             trace.append(idx)
             if len(trace) >= 2 + 4 + 14 + 56:
                 break
@@ -304,7 +314,7 @@ class TestStreams:
             (lambda: find_periodic_shift(fixed_point_stream(BLOCK), ""), EmptyWordError,
              "need a nonempty reference block"),
             # 0^n leaves the language of (1, 0) from three zeros on
-            (lambda: verify_fixed_point(SquareStream(P10, lambda: itertools.repeat(1), "zeros"), 10),
+            (lambda: verify_fixed_point(SquareStream(P10, lambda: itertools.repeat((1,)), "zeros"), 10),
              NotInPiError, "stream 'zeros' emitted a prefix outside its language"),
             (lambda: no_square_prefix_word(0), InvalidParamsError, "parameter a must be >= 1, got 0"),
             (lambda: two_periodic_word(0), InvalidParamsError, "parameter a must be >= 1, got 0"),
@@ -317,7 +327,7 @@ class TestStreams:
 
     @pytest.mark.parametrize("index", [0, 7])
     def test_block_index_outside_one_to_six(self, index):
-        stream = SquareStream(P10, lambda: iter([1, index, 1]), "bad")
+        stream = SquareStream(P10, lambda: iter([(1,), (index,), (1,)]), "bad")
         with pytest.raises(DomainError, match="block index"):
             stream.prefix(5)
 
@@ -342,13 +352,13 @@ class TestChunkedPrefix:
             (two_periodic_word, two_periodic_blocks),
         ):
             expected = list(itertools.islice(oracle(), 10**5))
-            for leaf in (1, 2, 1 << 14):
+            for leaf in (1, 2, 50, DEFAULT_LEAF):
                 monkeypatch.setattr(sqword.dynamics, "_LEAF", leaf)
-                blocks = make(a).block_factory()
+                blocks = itertools.chain.from_iterable(make(a).block_factory())
                 assert list(itertools.islice(blocks, 10**5)) == expected, (make.__name__, leaf)
 
     def test_finite_factory_ends_early(self):
-        stream = SquareStream(P10, lambda: iter([1] * 100), "finite")
+        stream = SquareStream(P10, lambda: iter([(1,)] * 100), "finite")
         with pytest.raises(DomainError, match=r"ended before 1000 letters$"):
             stream.prefix_blocks(1000)
         assert stream.prefix_blocks(200) == ("00" * 100, (1,) * 100)
@@ -356,9 +366,11 @@ class TestChunkedPrefix:
     @pytest.mark.parametrize("min_len", [10**4, 10**5])
     @pytest.mark.parametrize("index", [9, "x"])
     def test_bad_index_in_a_later_block(self, index, min_len):
-        # block 5,000 is in the first chunk of a 10**5-letter request, and
-        # in a late one-block chunk of a 10**4-letter one (4,999 blocks "00")
-        blocks = lambda: itertools.chain(itertools.repeat(1, 4999), [index], itertools.repeat(1))
+        # both requests read block 5,000: the 4,999 blocks "00" before it
+        # give 9,998 letters
+        blocks = lambda: itertools.chain(
+            itertools.repeat((1,), 4999), [(index,)], itertools.repeat((1,))
+        )
         stream = SquareStream(P10, blocks, "bad")
         message = re.escape(f"emitted block index {index!r}") + "$"
         with pytest.raises(DomainError, match=message):
@@ -367,10 +379,51 @@ class TestChunkedPrefix:
             prefix_blocks_loop(stream, min_len)
 
     def test_bad_index_after_the_length_is_not_read(self):
-        blocks = lambda: itertools.chain(itertools.repeat(1, 5000), [9])
+        blocks = lambda: itertools.chain(itertools.repeat((1,), 5000), [(9,)])
         stream = SquareStream(P10, blocks, "bad tail")
         assert stream.prefix_blocks(10**4) == ("00" * 5000, (1,) * 5000)
         assert stream.prefix_blocks(9999) == ("00" * 5000, (1,) * 5000)
+
+    def test_bad_index_after_the_cut_is_not_read(self):
+        # the leaf that reaches the length holds a bad index after the block
+        # that reaches it
+        leaves = [(1,) * 10, (1,) * 5 + (9,) + (1,) * 5]
+        stream = SquareStream(P10, lambda: iter(leaves), "bad leaf")
+        for n in (29, 30):
+            assert stream.prefix_blocks(n) == ("00" * 15, (1,) * 15)
+            assert stream.prefix_blocks(n) == prefix_blocks_loop(stream, n)
+        for oracle in (SquareStream.prefix_blocks, prefix_blocks_loop):
+            with pytest.raises(DomainError, match=r"emitted block index 9$"):
+                oracle(stream, 31)
+
+    def test_repeated_leaf_equals_block_loop(self):
+        # one leaf object, spelled once and cut at every offset it can be
+        leaf = fixed_point_stream(BLOCK).prefix_blocks(100)[1]
+        stream = SquareStream(P10, lambda: itertools.repeat(leaf), "one leaf")
+        for n in (*range(1, 400), 10**4, 10**5):
+            assert stream.prefix_blocks(n) == prefix_blocks_loop(stream, n), n
+
+    def test_fresh_leaves_are_spelled_by_content(self):
+        # tuples that nothing else holds reuse their ids, so a memo keyed by
+        # id must keep each leaf alive while the walk runs; a tuple made from
+        # a list is allocated at its size, from CPython's free list
+        def rechunked(stream):
+            def factory():
+                blocks = itertools.chain.from_iterable(stream.block_factory())
+                for size in itertools.cycle((1, 2, 3, 5, 8, 13)):
+                    yield tuple(list(itertools.islice(blocks, size)))
+
+            return SquareStream(stream.params, factory, stream.description)
+
+        for stream in _streams():
+            fresh = rechunked(stream)
+            ids = {id(leaf) for leaf in itertools.islice(fresh.block_factory(), 1000)}
+            assert len(ids) < 100
+            for n in (1, 50, 3000, 10**5):
+                assert fresh.prefix_blocks(n) == stream.prefix_blocks(n), stream.description
+                for iterations in (1, 2):
+                    got = outcome(verify_fixed_point, fresh, n, iterations)
+                    assert got == outcome(verify_fixed_point, stream, n, iterations), n
 
 
 class TestResumedParse:
@@ -382,10 +435,11 @@ class TestResumedParse:
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_short_blocks_equal_reparsing_oracle(self, c, monkeypatch):
-        # leaves of one and two indices walk every level lazily from the base
+        # leaves of one and two indices walk every level lazily from the
+        # base; at 50, long runs are walked as k copies of their piece
         for block in admissible_blocks(30):
             expected = reparse_stream(block, c).prefix_blocks(5000)
-            for leaf in (1, 2, 1 << 14):
+            for leaf in (1, 2, 50, DEFAULT_LEAF):
                 monkeypatch.setattr(sqword.dynamics, "_LEAF", leaf)
                 assert fixed_point_stream(block, c).prefix_blocks(5000) == expected, (block, leaf)
 
@@ -424,6 +478,32 @@ class TestResumedParse:
                 tracemalloc.stop()
             assert peak < 8 * 2**20, stream.description
 
+    def test_prefix_memory_at_ten_million_letters(self):
+        # the prefix (9.5 MiB) and one tuple of its 1,875,002 blocks
+        # (14.3 MiB): the leaves are joined once, with no list of the blocks
+        stream = fixed_point_stream(BLOCK, 1)
+        tracemalloc.start()
+        try:
+            word, trace = stream.prefix_blocks(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 1875002 and len(word) >= 10**7
+        assert peak < 30 * 2**20
+
+    @pytest.mark.parametrize("c", [10**4, 10**9])
+    def test_huge_c_walks_long_leaves(self, c, monkeypatch):
+        # no level is flattened once 2c·|zz₀| > _LEAF, and the first 10^5
+        # letters lie in Z0 Z0 zz^(c-1): Z0 repeated, parsed into its blocks
+        for leaf in (2, 3, 50, DEFAULT_LEAF):
+            monkeypatch.setattr(sqword.dynamics, "_LEAF", leaf)
+            stream = fixed_point_stream(BLOCK, c)
+            word, trace = stream.prefix_blocks(10**5)
+            assert word == BLOCK * (len(word) // len(BLOCK)), leaf
+            assert parse(word, P10).indices == trace, leaf
+            leaves = list(itertools.islice(stream.block_factory(), 3))
+            assert leaf - len(leaves[0]) < len(leaves[1]) <= max(leaf, len(leaves[0])), leaf
+
     def test_stuck_base_piece(self, monkeypatch):
         # exchange(Z0) with its last letter flipped: X0 Z0 sticks at position 6
         bad = exchange_first_two(BLOCK)[:-1] + "1"
@@ -441,17 +521,16 @@ class TestResumedParse:
             assert fact.complete and fact.indices == trace, stream.description
 
     @pytest.mark.parametrize("iterations", [1, 2, 3])
-    def test_verify_equals_two_parse_oracle(self, iterations):
-        def outcome(verify, stream, n):
-            try:
-                return verify(stream, n, iterations)
-            except EmptyAfterTrimError:
-                return EmptyAfterTrimError
-
-        for stream in _streams():
-            for n in (1, 50, 3000):
-                got = outcome(verify_fixed_point, stream, n)
-                assert got == outcome(verify_by_parsing, stream, n), (stream.description, n)
+    def test_verify_equals_two_parse_oracle(self, iterations, monkeypatch):
+        # the first root is spelled per leaf: leaves of one and two indices
+        # walk every level lazily
+        for leaf in (1, 2, DEFAULT_LEAF):
+            monkeypatch.setattr(sqword.dynamics, "_LEAF", leaf)
+            for stream in _streams():
+                for n in (1, 50, 3000):
+                    got = outcome(verify_fixed_point, stream, n, iterations)
+                    expected = outcome(verify_by_parsing, stream, n, iterations)
+                    assert got == expected, (stream.description, n, leaf)
 
 
 class TestSquareRootPrefix:
