@@ -41,9 +41,10 @@ from .words import slope
 # the formula factors n, its divisors and their totients by trial division
 # (the widest range ending at 10^6 takes about 4 s on that box), the word 0 is
 # a solution for every (a, b) within explicit bounds, and `orbits --n 10^6`
-# peaks at about 72 MB of RSS (115 MB with --format text, whose longest line
-# lists 800,000 residues).  Words read or built are capped too.  The `sl`
-# stream's memory follows --length; fixed_point_stream bounds its --c.
+# peaks at about 72 MB of RSS (71 MB with --format text, whose longest line
+# lists 800,000 residues, joined a slice at a time).  Words read or built are
+# capped too.  The `sl` stream's memory follows --length; fixed_point_stream
+# bounds its --c.
 _MAX_LENGTH = 10**7
 _MAX_BRUTE_N = 60
 _MAX_COUNT_N = 10**6
@@ -213,13 +214,20 @@ def _cmd_list(args) -> tuple[dict, list[str]]:
     return result, found
 
 
+def _spaced(values: tuple[int, ...]) -> str:
+    # " ".join(map(str, values)), 4,096 values at a time: join makes a list of
+    # its whole argument, and a str per residue would take about 45 MB for
+    # the 800,000 residues of one orbit at n = 10^6
+    return " ".join(" ".join(map(str, values[i : i + 4096])) for i in range(0, len(values), 4096))
+
+
 def _cmd_orbits(args) -> tuple[dict, Iterable[str]]:
     if args.n > _MAX_ORBITS_N:
         raise DomainError(f"--n is capped at {_MAX_ORBITS_N}, got {args.n}")
     orbits = doubling_orbits(args.n)
     result = {"n": args.n, "orbit_count": len(orbits), "orbits": orbits}
     # json.dumps writes the tuples as lists; the lines are built only if printed
-    return result, (" ".join(map(str, orbit)) for orbit in orbits)
+    return result, map(_spaced, orbits)
 
 
 def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
@@ -264,8 +272,19 @@ def _cmd_period(args) -> tuple[dict, list[str]]:
     return result, lines
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's wording of a bad choice differs between releases: 3.13.13
+    # drops the quotes around the choices that 3.10 to 3.13.0 print.  The
+    # CLI keeps the quoted wording on every interpreter; subparsers inherit
+    # this class.
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqword",
         description="Square-root solutions over minimal squares: generate, check, classify, count.",
     )

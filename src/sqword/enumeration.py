@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
 from .solutions import has_params
-from .squares import _LASTINDEX, _derive, _levels, _roots, _scanner, _squares
+from .squares import _LASTINDEX, _derive, _levels, _tables
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -168,22 +168,11 @@ def _second_level(kinds: str) -> tuple[int, ...]:
     return tuple(b for b in _levels(kinds, 0, len(kinds)) if _derive(kinds, b) is not None)
 
 
-# One entry per pair that a search pins or a leaf tries; n = 1..60 use 461.
-@lru_cache(maxsize=1024)
-def _pair(a: int, b: int) -> tuple:
-    # The parse tables of Params(a, b): b, the scanner, the root of each
-    # scanner group (1-based), and the six squares, each after a "|".  The
-    # search pins only b <= |kinds| <= n // (a + 1) with a <= n, and a leaf
-    # tries b <= 2n // (a + 1), so squares._window leaves (a, b) as it is for
-    # every parse of w or w w, and these are the tables that parse uses.
-    return b, _scanner(a, b)[0], ("", *_roots(a, b)), "|" + "|".join(_squares(a, b))
-
-
-def _resume(word: str, q: int, pair: tuple) -> int:
+def _resume(word: str, q: int, tables: tuple) -> int:
     # Resume the greedy square parse of *word* at q, where its roots spell
     # word[:q/2]: where it stops now, or -1 if a new root differs from the
     # word.  Each square is twice its root.
-    _, scanner, roots, _ = pair
+    scanner, roots, _ = tables
     joined = "".join(map(roots.__getitem__, map(_LASTINDEX, iter(scanner(word, q).match, None))))
     return q + 2 * len(joined) if word.startswith(joined, q // 2) else -1
 
@@ -191,30 +180,31 @@ def _resume(word: str, q: int, pair: tuple) -> int:
 def _committed(word: str, a: int, kinds: str, parses: list | None) -> tuple | None:
     # The entry (a, kinds, 0, parses) once the 1 ending *word* has committed
     # the last letter of *kinds*, or None if a drops out.  parses is None
-    # while kinds has fewer than two 1s; after that it lists (q, _pair(a, b))
-    # for each pinned b that holds kinds and whose parse of every prefix
-    # ending in 1 passed, q being where its parse of word stops.  A pinned b
-    # held kinds before its last letter, so _derive's rule at the one block
-    # that changed decides whether it still does: a 1 ends a zero run of b
-    # or b + 1 letters, and a 0 keeps the tail run within b + 1.  The rest
-    # word[q:] begins a square when "|" + rest occurs in the joined squares.
+    # while kinds has fewer than two 1s; after that it lists (q, b, tables)
+    # for each pinned b that holds kinds and whose roots spelled the word at
+    # each prefix ending in 1, q being where its parse of word stops.  As
+    # b <= |kinds| <= n // (a + 1) and a <= n, _tables(a, b) is the window of
+    # every parse of w or w w.  A pinned b held kinds before its last letter,
+    # so _derive's rule at the one block that changed decides whether it
+    # still does: a 1 ends a zero run of b or b + 1 letters, and a 0 keeps
+    # the tail run within b + 1.  Only the roots are checked, not the rest.
     if parses is None:
         held = _second_level(kinds)
         if not held:
             return None
         if kinds.count("1") < 2:
             return a, kinds, 0, None
-        parses = [(0, _pair(a, b)) for b in held]
+        parses = [(0, b, _tables(a, b)) for b in held]
         low, high = 0, len(kinds)
     else:
         run = len(kinds) - 2 - kinds.rfind("1", 0, -1)
         low, high = (run - 1, run) if kinds[-1] == "1" else (run, len(kinds))
     kept = []
-    for q, pair in parses:
-        if low <= pair[0] <= high:
-            q = _resume(word, q, pair)
-            if q >= 0 and "|" + word[q:] in pair[3]:
-                kept.append((q, pair))
+    for q, b, tables in parses:
+        if low <= b <= high:
+            q = _resume(word, q, tables)
+            if q >= 0:
+                kept.append((q, b, tables))
     return (a, kinds, 0, kept) if kept else None
 
 
@@ -267,11 +257,12 @@ def _leaf_has_params(word: str, live) -> bool:
         if doubled is None:
             continue
         if parses is None:
-            parses = [(0, _pair(a, b)) for b in _levels(doubled, 0, 2 * n // (a + 1))]
-        for q, pair in parses:
-            if _derive(doubled, pair[0]) is not None:
+            # a leaf tries b <= 2n // (a + 1), inside the window of w w too
+            parses = [(0, b, _tables(a, b)) for b in _levels(doubled, 0, 2 * n // (a + 1))]
+        for q, b, tables in parses:
+            if _derive(doubled, b) is not None:
                 square = square or word + word
-                if _resume(square, q, pair) == 2 * n:
+                if _resume(square, q, tables) == 2 * n:
                     return True
     return False
 
@@ -309,18 +300,20 @@ def brute_force_solutions(n: int) -> list[str]:
 
     Each live a whose kinds word has two 1s must also pass the square parse
     at each appended 1: for some pinned b, the greedy minimal-square parse
-    of the prefix p stops at a q where its joined roots equal p[:q/2], and
-    the rest p[q:] is a proper prefix of one of the six squares of (a, b).
+    of the prefix p stops at a q where its joined roots equal p[:q/2].
     Every solution w for (a, b) passes this at each of its prefixes p: w w
     parses into minimal squares whose roots spell w; no minimal square is a
     prefix of another, so the squares lying inside p are exactly p's own
-    parse; the next square starts at q and has p[q:] as a prefix; and the
-    roots so far spell w[:q/2] = p[:q/2].  So the prune drops no solution.
-    The same fact makes a failure final: p's parse is a prefix of the parse
-    of every extension, so a root that differs from the word still does,
-    and a rest that begins no square stays where the parse stops.  So each
-    a carries only the b that passed, with the stop q of the parse, and an
-    appended 1 resumes the parse at q and checks only the new roots.
+    parse, and their roots spell w[:q/2] = p[:q/2].  So the prune drops no
+    solution.  The same fact makes a failure final: p's parse is a prefix of
+    the parse of every extension, so a root that differs from the word
+    still does.  So each a carries only the b that passed, with the stop q
+    of the parse, and an appended 1 resumes the parse at q and checks only
+    the new roots.  The prune does not ask whether the rest p[q:] begins a
+    square.  When it begins none, no square is a prefix of any extension of
+    it either, so that b's parse never gets past q, and the leaf, which
+    resumes the parse to 2n, refuses it: the leaf decision is exact without
+    that check.
 
     ``_leaf_has_params`` decides each leaf from its entries.  The live a
     include the a of every solution pair of the leaf, and a pinned b not

@@ -45,30 +45,9 @@ class Params:
             raise InvalidParamsError(f"parameter b must be >= 0, got {self.b}")
 
 
-# The table caches are bounded: a table can have as many letters as the
-# word parsed, and a parameter search asks for a new pair per candidate.
-@lru_cache(maxsize=64)
-def _roots(a: int, b: int) -> tuple[str, ...]:
-    run = "0" * a
-    s5 = "1" + "0" * (a + 1) + ("1" + run) * b
-    return (
-        "0",
-        "01" + "0" * (a - 1),
-        "01" + run,
-        "1" + run,
-        s5,
-        s5 + "1" + run,
-    )
-
-
 def _s6_length(params: Params) -> int:
     # |s6| = |1 0^(a+1)| + (b + 1) |1 0^a|, without building the root
     return (params.a + 2) + (params.b + 1) * (params.a + 1)
-
-
-@lru_cache(maxsize=64)
-def _squares(a: int, b: int) -> tuple[str, ...]:
-    return tuple(r + r for r in _roots(a, b))
 
 
 def _window(params: Params, n: int) -> tuple[int, int]:
@@ -85,14 +64,33 @@ def _window(params: Params, n: int) -> tuple[int, int]:
     return a, (b if b <= cap else cap)
 
 
+# The one per-(a, b) table cache, bounded: an entry's roots can have as many
+# letters as the word parsed, and a parameter search asks for a new pair per
+# candidate.  `count --range 1..60 --brute` builds 491 windows.
+@lru_cache(maxsize=1024)
+def _tables(a: int, b: int) -> tuple:
+    # What a parse for Params(a, b) reads: the six squares as one compiled
+    # alternation, group i matching square i, then the six roots and the
+    # square lengths, each keyed by group.  In the pattern zero runs and the
+    # run of s4 in s5 are counted repeats, so it stays a few hundred bytes
+    # however large a and b are.  Callers that need the squares double them.
+    s4 = "1" + "0" * a
+    s5 = "1" + "0" * (a + 1) + s4 * b
+    roots = dict(enumerate(("0", "01" + "0" * (a - 1), "0" + s4, s4, s5, s5 + s4), 1))
+    p4 = "10{%d}" % a
+    p5 = "10{%d}(?:%s){%d}" % (a + 1, p4, b)
+    pattern = "|".join(f"({r}{r})" for r in ("0", "010{%d}" % (a - 1), "0" + p4, p4, p5, p5 + p4))
+    return re.compile(pattern).scanner, roots, {i: 2 * len(r) for i, r in roots.items()}
+
+
 def minimal_square_roots(params: Params) -> tuple[str, str, str, str, str, str]:
     """The six minimal square roots, shortest first."""
-    return _roots(params.a, params.b)
+    return tuple(_tables(params.a, params.b)[1].values())
 
 
 def minimal_squares(params: Params) -> tuple[str, str, str, str, str, str]:
     """Squares of the six minimal square roots."""
-    return _squares(params.a, params.b)
+    return tuple(r + r for r in minimal_square_roots(params))
 
 
 _KINDS = str.maketrans("LS", "10")
@@ -163,20 +161,6 @@ def in_language(word: str, params: Params) -> bool:
     return kinds is not None and _derive(kinds, params.b) is not None
 
 
-@lru_cache(maxsize=256)
-def _scanner(a: int, b: int):
-    # The six squares as one alternation, group i matching square i.  Zero
-    # runs are counted repeats, so the pattern stays a few hundred bytes
-    # however large a and b are.
-    run = "0{%d}"
-    s4 = "1" + run % a
-    s5 = "1" + run % (a + 1) + "(?:%s){%d}" % (s4, b)
-    roots = ("0", "01" + run % (a - 1), "0" + s4, s4, s5, s5 + s4)
-    pattern = "|".join(f"({r}{r})" for r in roots)
-    lengths = (0, *(2 * len(r) for r in _roots(a, b)))
-    return re.compile(pattern).scanner, lengths
-
-
 _LASTINDEX = attrgetter("lastindex")
 
 
@@ -190,14 +174,14 @@ def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
     the previous one ended, and the first position where no square matches
     ends the scan.
     """
-    scanner, lengths = _scanner(*_window(params, len(word)))
+    scanner, _, lengths = _tables(*_window(params, len(word)))
     indices = list(map(_LASTINDEX, iter(scanner(word).match, None)))
     return indices, sum(map(lengths.__getitem__, indices))
 
 
 def _join_roots(indices, params: Params, n: int) -> str:
     # Join the roots of squares matched within n letters.
-    return "".join(map(("", *_roots(*_window(params, n))).__getitem__, indices))
+    return "".join(map(_tables(*_window(params, n))[1].__getitem__, indices))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ import pytest
 
 import sqword.cli
 from sqword import __version__
-from sqword.cli import _word_report, build_parser, main
+from sqword.cli import _spaced, _word_report, build_parser, main
 from sqword.dynamics import SquareStream, fixed_point_stream, no_square_prefix_word
+from sqword.solutions import doubling_orbits
 from sqword.standard import standard_from_directive
 from test_enumeration import generate_and_test
 from test_standard import all_directives, central_recognizer
@@ -249,6 +250,25 @@ class TestOtherCommands:
         assert env["result"]["orbits"] == [[0], [1, 2, 4], [3, 5, 6]]
         assert run_cli(capsys, "--format", "text", "orbits", "--n", "7") == (0, "0\n1 2 4\n3 5 6\n", "")
 
+    def test_text_orbits_join_a_slice_at_a_time(self, capsys):
+        # 2 is a primitive root mod 3^10, so its units are one orbit of
+        # 39,366 residues, ten slices.  The bytes are the plain join's, and
+        # the join peaks at about twice the line, where a plain join holds a
+        # str per residue, about 12 bytes a letter.
+        orbits = doubling_orbits(3**10)
+        longest = max(orbits, key=len)
+        assert len(longest) > 4096
+        code, out, err = run_cli(capsys, "--format", "text", "orbits", "--n", str(3**10))
+        assert (code, err) == (0, "")
+        assert out == "".join(" ".join(map(str, orbit)) + "\n" for orbit in orbits)
+        tracemalloc.start()
+        try:
+            line = _spaced(longest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(line)
+
     def test_fixedpoint_sl(self, capsys):
         env = run_json(
             capsys,
@@ -435,6 +455,7 @@ class TestCaps:
             ["gen", "central", "--c", "3", "--d", str(10**9)],
             ["orbits", "--n", str(10**6 + 1)],
             ["orbits", "--n", str(10**9)],
+            ["--format", "text", "orbits", "--n", str(10**6 + 1)],
         ],
     )
     def test_rejected(self, capsys, argv):

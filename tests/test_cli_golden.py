@@ -7,6 +7,7 @@ letter x repeated N times.  To print the table as the current code answers
 it, run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -159,6 +160,20 @@ def run(line: str) -> tuple[int, str, str]:
 @pytest.mark.parametrize("line, code, digest, last", ROWS, ids=[row[0] for row in ROWS])
 def test_cli_bytes(line, code, digest, last):
     assert run(line) == (code, digest, last)
+
+
+def test_usage_rows_do_not_read_argparse_wording(monkeypatch):
+    # The invalid-choice wording is the CLI's own, so a release whose
+    # argparse words it otherwise (3.13.13 drops the quotes around the
+    # choices) gives the same usage rows: argparse's check is never reached.
+    def reworded(self, action, value):
+        raise argparse.ArgumentError(action, "argparse's own wording")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", reworded)
+    usage = [row for row in ROWS if row[1] == 2]
+    assert sum("invalid choice" in row[3] for row in usage) == 3
+    for line, code, digest, last in usage:
+        assert run(line) == (code, digest, last), line
 
 
 def test_table_covers_the_readme():

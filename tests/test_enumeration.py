@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import sqword.enumeration
+from sqword.cli import main
 from sqword.enumeration import (
     _doubled,
     _second_level,
@@ -20,7 +21,7 @@ from sqword.enumeration import (
 )
 from sqword.errors import DomainError, NotADivisorError, NotCoprimeError
 from sqword.solutions import doubling_orbits, has_params
-from sqword.squares import Params, _derive, _language_params, _levels, minimal_squares, parse
+from sqword.squares import Params, _derive, _language_params, _levels, _tables, minimal_squares, parse
 from test_squares import zero_runs
 
 # OEIS A000374: orbit counts of doubling mod n (first 21 terms).
@@ -393,7 +394,7 @@ class TestBruteForce:
                     for b in _second_level(kinds)
                     if parse_admits(prefix, Params(a, b))
                 ]
-                assert [(q, pair[0]) for q, pair in parses] == expected, (word, a)
+                assert [(q, b) for q, b, _ in parses] == expected, (word, a)
         assert pinned > 800
 
     def test_failed_parse_stays_failed(self):
@@ -441,6 +442,15 @@ class TestBruteForce:
         assert asked.currsize == asked.misses < asked.maxsize
         brute_force_solutions(24)
         assert _second_level.cache_info().misses == asked.misses
+
+    def test_each_window_is_built_once(self, capsys):
+        # One table per (a, b) serves the pinned parses, the leaves and the
+        # 0^n leaves' has_params: the searches for n = 1..60 build 491
+        # windows, each once, and the bound holds them all.
+        _tables.cache_clear()
+        assert main(["count", "--range", "1..60", "--brute"]) == 0
+        built = _tables.cache_info()
+        assert built.misses == built.currsize < built.maxsize
 
     def test_no_solution_contains_11(self):
         # The search only builds 11-free words.

@@ -176,10 +176,9 @@ class TestIsSolution:
     @pytest.mark.parametrize("params", [Params(10**6, 0), Params(1, 10**6)])
     def test_huge_params_stay_small(self, params):
         # Only the roots that fit in the square are built; at full size these
-        # tables would take about 12 MB.  Emptying the table caches keeps an
+        # tables would take about 12 MB.  Emptying the table cache keeps an
         # entry built by another test from hiding a full-size build.
-        squares._roots.cache_clear()
-        squares._squares.cache_clear()
+        squares._tables.cache_clear()
         tracemalloc.start()
         try:
             found = is_solution("0101", params)
@@ -192,8 +191,7 @@ class TestIsSolution:
     def test_b_window_stays_small(self):
         # s5 already outgrows the square at b = n // (a + 1); at b capped at
         # n instead, these tables would take about 23 MB
-        squares._roots.cache_clear()
-        squares._squares.cache_clear()
+        squares._tables.cache_clear()
         tracemalloc.start()
         try:
             found = is_solution("0" * 2000, Params(1000, 10**6))

@@ -390,8 +390,7 @@ class TestScanner:
     def test_pattern_stays_small(self):
         # zero runs are counted repeats: the window at 2,000 letters is
         # a = 2000, where literal squares would compile to megabytes
-        squares._scanner.cache_clear()
-        squares._roots.cache_clear()
+        squares._tables.cache_clear()
         re.purge()
         p = Params(10**6, 10**6)
         peak = peak_bytes(lambda: scan_minimal_squares("0" * 2000, p))
