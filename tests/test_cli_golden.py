@@ -56,6 +56,9 @@ ROWS = [
     ('count --range 5..3', 0, 'e9964af5cfd6bffb47b45a944dd3ab374f6f8720', ''),
     ('orbits --n 12 --format text', 0, '4b7911cf630fc9d86fcf31b9f446c8e263158417', ''),
     ('period --word 0001 --max-period 1000000000000', 0, 'e0b72506faa95a5fbadefe06045e83b190b1ad7d', ''),
+    # the widest admitted count range, at the largest admitted n
+    ('--format csv count --range 990001..1000000', 0, 'f303997ab15b0ed9c90bf0508519c47df38e7844', ''),
+    ('count --n 1000000', 0, 'be21fe3f04208e8d9c61df494efb1dde2c9f9db3', ''),
     # usage errors
     ('--format xml count --n 3', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "sqword: error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')"),
     ('bogus', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "sqword: error: argument command: invalid choice: 'bogus' (choose from 'gen', 'sqrt', 'check', 'classify', 'count', 'list', 'orbits', 'fixedpoint', 'period')"),
