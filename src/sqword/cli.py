@@ -37,14 +37,14 @@ from .words import slope
 
 # Caps on request sizes, so that no input can exhaust memory or run for
 # minutes: brute force keeps only O(n) prefixes on its stack but its time
-# grows with n (n = 60 takes about 0.35 s through the CLI on a 2-core box),
-# the formula factors n, its divisors and their totients by trial division
-# (the widest range ending at 10^6 takes about 4 s on that box), the word 0 is
-# a solution for every (a, b) within explicit bounds, and `orbits --n 10^6`
-# peaks at about 72 MB of RSS (71 MB with --format text, whose longest line
-# lists 800,000 residues, joined a slice at a time).  Words read or built are
-# capped too.  The `sl` stream's memory follows --length; fixed_point_stream
-# bounds its --c.
+# grows with n (n = 60 takes about 0.25 s through the CLI on a 2-core box),
+# the formula factors n, its odd prime powers and their totients, and each
+# divisor d and d - 1 by trial division (the widest range ending at 10^6
+# takes about 1.5 s on that box), the word 0 is a solution for every (a, b)
+# within explicit bounds, and `orbits --n 10^6` peaks at about 72 MB of RSS
+# (71 MB with --format text, whose longest line lists 800,000 residues, joined
+# a slice at a time).  Words read or built are capped too.  The `sl` stream's
+# memory follows --length; fixed_point_stream bounds its --c.
 _MAX_LENGTH = 10**7
 _MAX_BRUTE_N = 60
 _MAX_COUNT_N = 10**6
@@ -148,6 +148,8 @@ def _check_bounds(args) -> None:
 
 
 def _cmd_check(args) -> tuple[dict, list[str]]:
+    if args.a is not None and (args.a_max is not None or args.b_max is not None):
+        raise argparse.ArgumentTypeError("check takes --a or --a-max/--b-max, not both")
     word = _read_word(args)
     if args.a is not None:
         params = Params(args.a, args.b)
@@ -192,6 +194,8 @@ def _check_count(n: int, brute: bool) -> None:
 
 def _cmd_count(args) -> tuple[object, list[str]]:
     # --n N is the range N..N, answered as one object instead of a list
+    if args.range and args.n is not None:
+        raise argparse.ArgumentTypeError("count needs --n or --range, not both")
     if args.range:
         lo, hi = _parse_range(args.range)
         if hi - lo + 1 > _MAX_RANGE_WIDTH:

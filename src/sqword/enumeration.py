@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
 from .solutions import has_params
@@ -94,9 +95,18 @@ def order_of_two(d: int) -> int:
     return e
 
 
-# One widest `count --range` (10^4 lengths ending at 10^6) asks for 46,769
-# lengths, 87,905 of them again: the table holds them, then stops growing.
-@lru_cache(maxsize=1 << 16)
+def _odd_divisors(n: int) -> list[tuple[int, int, int]]:
+    # (e, phi(e), ord_2(e)) for every odd divisor e of n, from one
+    # factorization of n.  Both are multiplicative over coprime prime powers
+    # (ord_2 as their lcm), so each prime power's order is found once.
+    walk = [(1, 1, 1)]
+    for p, k in _factorize(n).items():
+        if p > 2:
+            powers = [(p**j, p**j - p ** (j - 1), order_of_two(p**j)) for j in range(1, k + 1)]
+            walk += [(e * q, f * phi, lcm(o, order)) for e, f, o in walk for q, phi, order in powers]
+    return walk
+
+
 def orbit_count(length: int) -> int:
     """Number of orbits of x -> 2x mod length, by the divisor-sum formula.
 
@@ -105,10 +115,12 @@ def orbit_count(length: int) -> int:
     """
     if length < 1:
         raise DomainError("orbit_count needs length >= 1")
-    odd = length
-    while odd % 2 == 0:
-        odd //= 2
-    return sum(euler_phi(d) // order_of_two(d) for d in divisors(odd))
+    return sum(phi // order for _, phi, order in _odd_divisors(length))
+
+
+def _excess(orbits: int, d: int) -> int:
+    # E(n, d) from the orbit count mod n/d, as pattern_excess defines it
+    return (2 ** (orbits - 1) - 1) * (euler_phi(d) // 2 - divisor_count(d - 1) + 1)
 
 
 def pattern_excess(n: int, d: int) -> int:
@@ -120,9 +132,7 @@ def pattern_excess(n: int, d: int) -> int:
     """
     if d <= 2 or d > n or n % d != 0:
         raise NotADivisorError(f"need a divisor d of {n} with 2 < d <= {n}, got {d}")
-    patterns = 2 ** (orbit_count(n // d) - 1) - 1
-    blocks = euler_phi(d) // 2 - divisor_count(d - 1) + 1
-    return patterns * blocks
+    return _excess(orbit_count(n // d), d)
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,9 @@ def count_solutions(n: int, brute: bool = False) -> CountReport:
     """
     if n < 1:
         raise DomainError("count_solutions needs n >= 1")
-    per = {d: pattern_excess(n, d) for d in divisors(n) if d > 2}
+    # the orbit count mod n/d sums over the odd divisors of n that divide n/d
+    walk = _odd_divisors(n)
+    per = {d: _excess(sum(f // o for e, f, o in walk if n // d % e == 0), d) for d in divisors(n) if d > 2}
     formula = n // 2 + 1 + sum(per.values())
     brute_count = len(brute_force_solutions(n)) if brute else None
     return CountReport(n=n, formula_count=formula, brute_count=brute_count, per_divisor=per)
@@ -206,20 +218,6 @@ def _committed(word: str, a: int, kinds: str, parses: list | None) -> tuple | No
             if q >= 0:
                 kept.append((q, b, tables))
     return (a, kinds, 0, kept) if kept else None
-
-
-def _first_level(word: str, head: int, run: int) -> list[tuple]:
-    # The state of word = 0^head 1 0^run 1, which ends in its second 1: what
-    # _derive(word, a) commits for each a that _levels allows.  The block
-    # 1 0^run is L (a = run - 1) or S (a = run), and the head zeros fit in
-    # one block, a whole L one (kinds letter 1) when there are a + 1.
-    live = []
-    for a in (run - 1, run):
-        if a and head <= a + 1:
-            kinds = ("1" if head == a + 1 else "") + ("0" if run == a else "1")
-            if entry := _committed(word, a, kinds, None):
-                live.append(entry)
-    return live
 
 
 def _doubled(kinds: str, a: int, t: int, head: int) -> str | None:
@@ -288,7 +286,10 @@ def brute_force_solutions(n: int) -> list[str]:
     other a drops out; the padded word keeps each a whose tail t is at most
     a, or a + 1 where the provisional kinds + "1" holds.  The prefixes in
     between, ending in 0, live exactly when one of these does, so these are
-    the leaves a letter-by-letter search reaches, in the same order.
+    the leaves a letter-by-letter search reaches, in the same order.  A word
+    0^h 1 with one 1 carries none: its head zeros fit in one block of each
+    a >= max(1, h - 1), so it offers its children (a, "1" if h = a + 1 else
+    "", 0, None) for each such a, and they commit these like any other.
 
     The second level reads a memo of the b that hold each kinds word:
     ``_derive`` caps b at the word's length, and every kinds word here has
@@ -346,22 +347,20 @@ def brute_force_solutions(n: int) -> list[str]:
         # then each child word 0^z 1, the largest z first, so pushed last
         if not word:
             stack.extend(("0" * z + "1", None) for z in range(1, tail))
-        elif live is None:
-            head = len(word) - 1
-            for z in range(max(1, head - 1), tail):
-                child = word + "0" * z + "1"
-                if grown := _first_level(child, head, z):
-                    stack.append((child, grown))
-        else:
-            # live runs over increasing a, and z commits a = z (S) or z - 1 (L)
-            for z in range(live[0][0], min(live[-1][0] + 2, tail)):
-                child = word + "0" * z + "1"
-                grown = []
-                for a, kinds, _, parses in live:
-                    if z - 1 <= a <= z:
-                        entry = _committed(child, a, kinds + ("0" if z == a else "1"), parses)
-                        if entry:
-                            grown.append(entry)
-                if grown:
-                    stack.append((child, grown))
+            continue
+        if live is None:
+            # the entries 0^h 1 offers its children
+            h = len(word) - 1
+            live = [(a, "1" if h == a + 1 else "", 0, None) for a in range(max(1, h - 1), tail)]
+        # live runs over increasing a, and z commits a = z (S) or z - 1 (L)
+        for z in range(live[0][0], min(live[-1][0] + 2, tail)) if live else ():
+            child = word + "0" * z + "1"
+            grown = []
+            for a, kinds, _, parses in live:
+                if z - 1 <= a <= z:
+                    entry = _committed(child, a, kinds + ("0" if z == a else "1"), parses)
+                    if entry:
+                        grown.append(entry)
+            if grown:
+                stack.append((child, grown))
     return found

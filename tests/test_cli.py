@@ -97,10 +97,13 @@ class TestCountCommand:
         single = run_json(capsys, "count", "--n", "24")["result"]
         assert isinstance(single, dict)
         assert run_json(capsys, "count", "--range", "24..24")["result"] == [single]
-        # --range wins over --n
         ranged = run_json(capsys, "count", "--range", "2..4")["result"]
-        assert run_json(capsys, "count", "--n", "5", "--range", "2..4")["result"] == ranged
         assert [r["n"] for r in ranged] == [2, 3, 4]
+        # --n with --range is refused rather than dropped
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "5", "--range", "2..4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("sqword: error: count needs --n or --range, not both\n")
 
     @pytest.mark.parametrize("text", ["a..b", "5"])
     def test_bad_range(self, capsys, text):

@@ -69,6 +69,10 @@ ROWS = [
     ('fixedpoint --kind bogus --length 5', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "sqword fixedpoint: error: argument --kind: invalid choice: 'bogus' (choose from 'sl', 'nosquare', 'biperiodic')"),
     ('fixedpoint --kind sl --word 01010010', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword fixedpoint: error: the following arguments are required: --length'),
     ('check --word 0101 --bogus 1', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: unrecognized arguments: --bogus 1'),
+    # flag pairs where one flag would be dropped
+    ('count --n 5 --range 1..3', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: count needs --n or --range, not both'),
+    ('check --word 0 --a 1 --a-max 100000', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: check takes --a or --a-max/--b-max, not both'),
+    ('check --word 0 --a 1 --b-max 5', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: check takes --a or --a-max/--b-max, not both'),
     # domain errors
     ('check', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: a word is required (use --word or --word-file)'),
     ("check --word ''", 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: solutions are nonempty'),
