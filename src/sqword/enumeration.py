@@ -348,15 +348,15 @@ def brute_force_solutions(n: int) -> list[str]:
         if not word:
             stack.extend(("0" * z + "1", None) for z in range(1, tail))
             continue
-        if live is None:
-            # the entries 0^h 1 offers its children
-            h = len(word) - 1
-            live = [(a, "1" if h == a + 1 else "", 0, None) for a in range(max(1, h - 1), tail)]
-        # live runs over increasing a, and z commits a = z (S) or z - 1 (L)
-        for z in range(live[0][0], min(live[-1][0] + 2, tail)) if live else ():
+        # live runs over increasing a, and z commits a = z (S) or z - 1 (L);
+        # 0^h 1 carries none and offers each child its a >= max(1, h - 1)
+        h = len(word) - 1
+        low = live[0][0] if live else max(1, h - 1)
+        for z in range(low, min(live[-1][0] + 2 if live else tail, tail)):
             child = word + "0" * z + "1"
+            offered = live or [(a, "1" if h == a + 1 else "", 0, None) for a in (z - 1, z) if a >= low]
             grown = []
-            for a, kinds, _, parses in live:
+            for a, kinds, _, parses in offered:
                 if z - 1 <= a <= z:
                     entry = _committed(child, a, kinds + ("0" if z == a else "1"), parses)
                     if entry:

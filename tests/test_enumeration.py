@@ -283,7 +283,7 @@ class TestCountSolutions:
     def test_walk_equals_divisor_oracle(self):
         # one walk over n's odd divisors gives what factoring each divisor
         # on its own gave, here and on a seeded sample near 10^6
-        rng = random.Random(26)
+        rng = random.Random(1)
         for n in itertools.chain(range(1, 3001), rng.sample(range(900000, 10**6 + 1), 60)):
             report = count_solutions(n)
             assert (report.formula_count, report.per_divisor) == divisor_count_report(n), n
