@@ -288,8 +288,8 @@ def brute_force_solutions(n: int) -> list[str]:
     between, ending in 0, live exactly when one of these does, so these are
     the leaves a letter-by-letter search reaches, in the same order.  A word
     0^h 1 with one 1 carries none: its head zeros fit in one block of each
-    a >= max(1, h - 1), so it offers its children (a, "1" if h = a + 1 else
-    "", 0, None) for each such a, and they commit these like any other.
+    a >= max(1, h - 1), so it offers each child 0^z 1 the entries (a, "1" if
+    h = a + 1 else "", 0, None) of such a in {z - 1, z}, committed as above.
 
     The second level reads a memo of the b that hold each kinds word:
     ``_derive`` caps b at the word's length, and every kinds word here has
