@@ -150,6 +150,8 @@ def _check_bounds(args) -> None:
 def _cmd_check(args) -> tuple[dict, list[str]]:
     if args.a is not None and (args.a_max is not None or args.b_max is not None):
         raise argparse.ArgumentTypeError("check takes --a or --a-max/--b-max, not both")
+    if args.a is None and args.b:
+        raise argparse.ArgumentTypeError("check takes --b only with --a")
     word = _read_word(args)
     if args.a is not None:
         params = Params(args.a, args.b)

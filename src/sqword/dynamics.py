@@ -23,7 +23,7 @@ from .errors import (
     NotInPiError,
     PreconditionFailedError,
 )
-from .squares import Params, _s6_length, _tables, in_language, parse
+from .squares import Params, _s6_length, in_language, minimal_square_roots, minimal_squares, parse
 from .standard import natural_params
 from .words import are_conjugate, check_binary, check_nonempty, exchange_first_two
 
@@ -54,7 +54,7 @@ class SquareStream:
         # once, keyed by its id; the memo holds the leaf, so no id is reused.
         if min_len < 1:
             raise DomainError("prefix length must be >= 1")
-        squares = {i: r + r for i, r in _tables(self.params.a, self.params.b)[1].items()}
+        squares = dict(enumerate(minimal_squares(self.params), 1))
         spelled, leaves, words, total = {}, [], [], 0
         for leaf in self.block_factory():
             if id(leaf) not in spelled:
@@ -265,6 +265,8 @@ def detect_period(
     suffix whose least period qualifies gives the answer in linear time.
     """
     check_binary(word)
+    if reference is not None:
+        check_binary(reference)
     n = len(word)
     limit = n if max_period is None else max_period
     reverse = word[::-1]
@@ -312,7 +314,7 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
         raise NotInPiError(
             f"stream {stream.description!r} emitted a prefix outside its language"
         )
-    roots = _tables(stream.params.a, stream.params.b)[1]
+    roots = dict(enumerate(minimal_square_roots(stream.params), 1))
     distinct = {id(leaf): leaf for leaf in leaves}  # leaves holds each, so no id is reused
     spelled = {key: "".join(map(roots.__getitem__, leaf)) for key, leaf in distinct.items()}
     current = "".join([spelled[id(leaf)] for leaf in leaves])

@@ -22,8 +22,8 @@ values, each pinned b's greedy square parse, which resumes where it stopped
 at every new 1.  A leaf is decided from that state: its square
 desubstitutes by a junction rule, and its parse resumes from the carried
 stop.  All of it is exact (see ``brute_force_solutions``).  The search
-reads only the language and the square parse, and ``has_params`` for 0^n,
-never the formula.
+reads only the language and the square parse, never the formula; 0^n is a
+solution outright.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
-from .solutions import has_params
-from .squares import _LASTINDEX, _derive, _levels, _tables
+from .squares import _derive, _levels, _resume, _tables
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -180,17 +179,16 @@ def _second_level(kinds: str) -> tuple[int, ...]:
     return tuple(b for b in _levels(kinds, 0, len(kinds)) if _derive(kinds, b) is not None)
 
 
-def _resume(word: str, q: int, tables: tuple) -> int:
-    # Resume the greedy square parse of *word* at q, where its roots spell
-    # word[:q/2]: where it stops now, or -1 if a new root differs from the
-    # word.  Each square is twice its root.
-    scanner, roots, _ = tables
-    joined = "".join(map(roots.__getitem__, map(_LASTINDEX, iter(scanner(word, q).match, None))))
-    return q + 2 * len(joined) if word.startswith(joined, q // 2) else -1
+def _offered(h: int, low: int) -> list[tuple]:
+    # The entries (a, kinds, None) that a word 0^h 1 offers for a in low and
+    # low + 1: its head zeros fit in one block of each a >= max(1, h - 1),
+    # and are a whole long block, the kinds word "1", when h = a + 1.  Its
+    # leaf asks for low = n - 2, and each child 0^z 1 for low = z - 1.
+    return [(a, "1" if h == a + 1 else "", None) for a in (low, low + 1) if a >= max(1, h - 1)]
 
 
 def _committed(word: str, a: int, kinds: str, parses: list | None) -> tuple | None:
-    # The entry (a, kinds, 0, parses) once the 1 ending *word* has committed
+    # The entry (a, kinds, parses) once the 1 ending *word* has committed
     # the last letter of *kinds*, or None if a drops out.  parses is None
     # while kinds has fewer than two 1s; after that it lists (q, b, tables)
     # for each pinned b that holds kinds and whose roots spelled the word at
@@ -205,7 +203,7 @@ def _committed(word: str, a: int, kinds: str, parses: list | None) -> tuple | No
         if not held:
             return None
         if kinds.count("1") < 2:
-            return a, kinds, 0, None
+            return a, kinds, None
         parses = [(0, b, _tables(a, b)) for b in held]
         low, high = 0, len(kinds)
     else:
@@ -217,15 +215,14 @@ def _committed(word: str, a: int, kinds: str, parses: list | None) -> tuple | No
             q = _resume(word, q, tables)
             if q >= 0:
                 kept.append((q, b, tables))
-    return (a, kinds, 0, kept) if kept else None
+    return (a, kinds, kept) if kept else None
 
 
 def _doubled(kinds: str, a: int, t: int, head: int) -> str | None:
-    # _derive(w w, a) from the entry (a, kinds, t) of w and its head zero
-    # run: kinds, the letter of the junction block 1 0^(t+head), and kinds
-    # without the head L it has when head = a + 1; None if the junction is
-    # no block of a.  w starts with 0, so a tail of a + 1 zeros makes the
-    # junction too long, and w w never ends in a provisional L.
+    # _derive(w w, a) from the entry (a, kinds) of w, its tail zero run t <= a
+    # and its head zero run: kinds, the letter of the junction block
+    # 1 0^(t+head), and kinds without the head L it has when head = a + 1;
+    # None if the junction is no block of a.
     run = t + head
     if run != a and run != a + 1:
         return None
@@ -233,25 +230,21 @@ def _doubled(kinds: str, a: int, t: int, head: int) -> str | None:
 
 
 def _leaf_has_params(word: str, live) -> bool:
-    """``has_params(word)`` for a leaf of the search, read off its state.
+    """``has_params(word)`` for a leaf of the search, read off its entries.
 
-    w w desubstitutes by each live a as ``_doubled`` says, and its parse
-    resumes at the stop carried for each pinned b.  The live a include the
-    a of every solution pair of w, and a pinned b left out of the entry has
-    failed its parse, so only those pairs are tried.  A word with one 1
-    carries no state: its square's one inner zero run has n - 1 letters, so
-    a is n - 2 or n - 1, kinds holds at most the head L, and every b is
-    parsed from the start.  Only 0^n goes to ``has_params``.
+    w w desubstitutes by each live a as ``_doubled`` says, with the head and
+    tail zero runs read off the word, and its parse resumes at the stop
+    carried for each pinned b.  The live a include the a of every solution
+    pair of w, and a pinned b left out of the entry has failed its parse,
+    so only those pairs are tried.  While kinds has fewer than two 1s, as
+    in the entries ``_offered`` gives a word with one 1, every b is parsed
+    from the start.
     """
-    head = word.find("1")
-    if head < 0:
-        return has_params(word)
     n = len(word)
-    if live is None:
-        live = [(a, "1" if head == a + 1 else "", n - 1 - head, None) for a in (n - 2, n - 1) if a]
+    head, tail = word.find("1"), n - 1 - word.rfind("1")
     square = None
-    for a, kinds, t, parses in live:
-        doubled = _doubled(kinds, a, t, head)
+    for a, kinds, parses in live:
+        doubled = _doubled(kinds, a, tail, head)
         if doubled is None:
             continue
         if parses is None:
@@ -273,23 +266,26 @@ def brute_force_solutions(n: int) -> list[str]:
     factor language of (a, b); a prefix with two 1s that no pair with a and
     b at most 2n admits is dropped with all its extensions.  Those are the
     bounds ``has_params`` applies to each word of length n, and they decide
-    solution-hood.
+    solution-hood.  0^n comes first and needs no search: its square is n
+    squares 00, and its 2n zeros are one long block of a = 2n - 1, b = 0.
 
-    The search steps from one 1 to the next.  Each word ending in its
-    second or a later 1 carries the live (a, kinds, t, parses) entries, one
-    per a that still holds it, in increasing a: the kinds word its complete
-    blocks commit (led by an L when its head zeros are a whole long block),
-    and t = 0.  Its subtree is the word padded with zeros to n letters, then
-    each child word 0^z 1 for z from the largest down, which is
-    lexicographic order.  The run of z zeros closes the block 1 0^z, so the
-    child commits the letter 0 for a = z and 1 for a = z - 1, and every
-    other a drops out; the padded word keeps each a whose tail t is at most
-    a, or a + 1 where the provisional kinds + "1" holds.  The prefixes in
-    between, ending in 0, live exactly when one of these does, so these are
-    the leaves a letter-by-letter search reaches, in the same order.  A word
-    0^h 1 with one 1 carries none: its head zeros fit in one block of each
-    a >= max(1, h - 1), so it offers each child 0^z 1 the entries (a, "1" if
-    h = a + 1 else "", 0, None) of such a in {z - 1, z}, committed as above.
+    The search steps from one 1 to the next, starting from the words 0^z 1.
+    Each word ending in its second or a later 1 carries the live
+    (a, kinds, parses) entries, one per a that still holds it, in
+    increasing a, where kinds is the word its complete blocks commit (led
+    by an L when its head zeros are a whole long block).  Its subtree is the
+    word padded with zeros to n letters, then each child word 0^z 1 for z
+    from the largest down, which is lexicographic order.  The run of z zeros
+    closes the block 1 0^z, so the child commits the letter 0 for a = z and
+    1 for a = z - 1, and every other a drops out.  The padded word keeps
+    each a at least its tail run t: every word starts with 0, so a tail of
+    a + 1 zeros gives w w a junction run of at least a + 2, which no block
+    of a has.  So the words ending in 1 are those a letter-by-letter search
+    reaches, in the same order, and a word of length n is decided when some
+    live a is at least its tail run.  A word 0^h 1 with one 1 carries none:
+    ``_offered`` builds the entries it offers, for a in {z - 1, z} to each
+    child 0^z 1, which commits them as above, and for a in {n - 2, n - 1} to
+    its leaf, whose square has one inner zero run, of n - 1 letters.
 
     The second level reads a memo of the b that hold each kinds word:
     ``_derive`` caps b at the word's length, and every kinds word here has
@@ -326,37 +322,24 @@ def brute_force_solutions(n: int) -> list[str]:
     """
     if n < 1:
         raise DomainError("brute_force_solutions needs n >= 1")
-    found = []
-    stack = [("", None)]
+    found = ["0" * n]  # its square is n squares 00, one long block of a = 2n - 1, b = 0
+    stack = [("0" * z + "1", None) for z in range(1, n)]
     while stack:
         word, live = stack.pop()
         tail = n - len(word)
-        # the word padded with zeros comes first in its subtree; a tail of
-        # a + 1 zeros is a provisional L, asked of the second level's rule
-        # and not of its memo, which holds only committed kinds words
-        if live is None:
-            leaf = None
-        else:
-            leaf = [
-                (a, kinds, tail, parses)
-                for a, kinds, _, parses in live
-                if tail <= a or tail == a + 1 and _second_level.__wrapped__(kinds + "1")
-            ]
-        if (leaf is None or leaf) and _leaf_has_params(padded := word + "0" * tail, leaf):
+        h = len(word) - 1  # the head run of a word with one 1, which carries no entries
+        # the word padded with zeros comes first in its subtree; an a below
+        # its tail run would close w w with a junction run of a + 2 or more
+        leaf = [entry for entry in live or _offered(h, n - 2) if tail <= entry[0]]
+        if leaf and _leaf_has_params(padded := word + "0" * tail, leaf):
             found.append(padded)
-        # then each child word 0^z 1, the largest z first, so pushed last
-        if not word:
-            stack.extend(("0" * z + "1", None) for z in range(1, tail))
-            continue
-        # live runs over increasing a, and z commits a = z (S) or z - 1 (L);
-        # 0^h 1 carries none and offers each child its a >= max(1, h - 1)
-        h = len(word) - 1
+        # then each child word 0^z 1, the largest z first, so pushed last;
+        # live runs over increasing a, and z commits a = z (S) or z - 1 (L)
         low = live[0][0] if live else max(1, h - 1)
         for z in range(low, min(live[-1][0] + 2 if live else tail, tail)):
             child = word + "0" * z + "1"
-            offered = live or [(a, "1" if h == a + 1 else "", 0, None) for a in (z - 1, z) if a >= low]
             grown = []
-            for a, kinds, _, parses in offered:
+            for a, kinds, parses in live or _offered(h, z - 1):
                 if z - 1 <= a <= z:
                     entry = _committed(child, a, kinds + ("0" if z == a else "1"), parses)
                     if entry:

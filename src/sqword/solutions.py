@@ -20,9 +20,7 @@ from .errors import (
     InvalidLetterError,
     NotDecomposableError,
 )
-from .squares import (
-    Params, _join_roots, _language_params, _s6_length, in_language, scan_minimal_squares
-)
+from .squares import Params, _language_params, _resume, _s6_length, _tables, _window, in_language
 from .standard import central_word, is_reversed_standard
 from .words import check_nonempty, exchange_first_two, primitive_root, slope
 
@@ -89,10 +87,8 @@ def is_solution(word: str, params: Params) -> bool:
     """True iff the square of *word* has a square root equal to *word*."""
     check_nonempty(word, "solutions are nonempty")
     square = word + word
-    indices, consumed = scan_minimal_squares(square, params)
-    if consumed != len(square) or _join_roots(indices, params, consumed) != word:
-        return False
-    return in_language(square, params)
+    tables = _tables(*_window(params, len(square)))
+    return _resume(square, 0, tables) == len(square) and in_language(square, params)
 
 
 def _bounds(

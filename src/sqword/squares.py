@@ -66,7 +66,7 @@ def _window(params: Params, n: int) -> tuple[int, int]:
 
 # The one per-(a, b) table cache, bounded: an entry's roots can have as many
 # letters as the word parsed, and a parameter search asks for a new pair per
-# candidate.  `count --range 1..60 --brute` builds 491 windows.
+# candidate.  `count --range 1..60 --brute` builds 461 windows.
 @lru_cache(maxsize=1024)
 def _tables(a: int, b: int) -> tuple:
     # What a parse for Params(a, b) reads: the six squares as one compiled
@@ -164,6 +164,15 @@ def in_language(word: str, params: Params) -> bool:
 _LASTINDEX = attrgetter("lastindex")
 
 
+def _resume(word: str, q: int, tables: tuple) -> int:
+    # Resume the greedy square parse of *word* at q, where its roots spell
+    # word[:q/2]: where it stops now, or -1 if a new root differs from the
+    # word.  Each square is twice its root.
+    scanner, roots, _ = tables
+    joined = "".join(map(roots.__getitem__, map(_LASTINDEX, iter(scanner(word, q).match, None))))
+    return q + 2 * len(joined) if word.startswith(joined, q // 2) else -1
+
+
 def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
     """Greedy left-to-right square parse; stops where no square matches.
 
@@ -177,11 +186,6 @@ def scan_minimal_squares(word: str, params: Params) -> tuple[list[int], int]:
     scanner, _, lengths = _tables(*_window(params, len(word)))
     indices = list(map(_LASTINDEX, iter(scanner(word).match, None)))
     return indices, sum(map(lengths.__getitem__, indices))
-
-
-def _join_roots(indices, params: Params, n: int) -> str:
-    # Join the roots of squares matched within n letters.
-    return "".join(map(_tables(*_window(params, n))[1].__getitem__, indices))
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,8 @@ class SquareFactorization:
 
     def root(self) -> str:
         """The square root of the factored prefix: every square halved."""
-        return _join_roots(self.indices, self.params, self.consumed)
+        roots = _tables(*_window(self.params, self.consumed))[1]
+        return "".join(map(roots.__getitem__, self.indices))
 
 
 def parse(word: str, params: Params) -> SquareFactorization:

@@ -225,6 +225,16 @@ class TestSqrtAndCheck:
         assert env["result"]["bounds"] == [0, 8]
         assert env["result"]["solution"] is False
 
+    def test_b_needs_a(self, capsys):
+        # a nonzero --b without --a is refused rather than dropped; the
+        # default 0 still leaves the search as it was
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--word", "0101", "--b", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("sqword: error: check takes --b only with --a\n")
+        env = run_json(capsys, "check", "--word", "0101", "--b", "0")
+        assert env["result"]["params"] == run_json(capsys, "check", "--word", "0101")["result"]["params"]
+
 
 class TestOtherCommands:
     def test_list(self, capsys):

@@ -73,6 +73,7 @@ ROWS = [
     ('count --n 5 --range 1..3', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: count needs --n or --range, not both'),
     ('check --word 0 --a 1 --a-max 100000', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: check takes --a or --a-max/--b-max, not both'),
     ('check --word 0 --a 1 --b-max 5', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: check takes --a or --a-max/--b-max, not both'),
+    ('check --word 0101 --b 5', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: check takes --b only with --a'),
     # domain errors
     ('check', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: a word is required (use --word or --word-file)'),
     ("check --word ''", 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: solutions are nonempty'),
@@ -84,6 +85,7 @@ ROWS = [
     ('classify --word 01x', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
     ('sqrt --word 01x --a 1', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
     ('period --word 01x', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter 'x' in binary word"),
+    ('period --word 0101 --reference 2', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: invalid letter '2' in binary word"),
     ('fixedpoint --kind nosquare --length 10', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', "error: kind 'nosquare' needs --a"),
     ('fixedpoint --kind nosquare --a 0 --length 5', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: parameter a must be >= 1, got 0'),
     ('fixedpoint --kind biperiodic --a 0 --length 5', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: parameter a must be >= 1, got 0'),

@@ -622,6 +622,11 @@ class TestDetectPeriod:
         assert report.preperiod == 0 and report.period == 8
         assert report.conjugate_to == BLOCK
 
+    @pytest.mark.parametrize("reference", ["2", "01x0", ["0", "1"]])
+    def test_reference_letters_are_checked(self, reference):
+        with pytest.raises(InvalidLetterError):
+            detect_period("0101", reference=reference)
+
     def test_minimum_period_of_periodic_word(self):
         # a primitive period word cannot be explained by a shorter period
         word = "0010110" * 6

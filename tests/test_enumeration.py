@@ -22,7 +22,7 @@ from sqword.enumeration import (
     pattern_excess,
 )
 from sqword.errors import DomainError, NotADivisorError, NotCoprimeError
-from sqword.solutions import doubling_orbits, has_params
+from sqword.solutions import doubling_orbits, find_params, has_params
 from sqword.squares import Params, _derive, _language_params, _levels, _tables, minimal_squares, parse
 from test_squares import zero_runs
 
@@ -85,14 +85,20 @@ def rederiving_dfs(n, parsed=True, leaves=None):
     the state ``brute_force_solutions`` carries down the tree.  A child that
     ends in 1 also needs, unless *parsed* is false, a pair whose kinds word
     has fewer than two 1s (b is then not pinned) or that ``parse_admits``
-    it.  Its leaves go to ``has_params``, and to *leaves* when given."""
+    it.  A word of length n with two or more 1s is a leaf only if some
+    admitted pair has a at least its tail zero run.  Its leaves go to
+    ``has_params``, and to *leaves* when given; 0^n goes to ``has_params``
+    alone, as the search lists it without a leaf."""
     bound = 2 * n
     found = []
     stack = ["0"]
     while stack:
         word = stack.pop()
         if len(word) == n:
-            if leaves is not None:
+            tail = n - 1 - word.rfind("1")
+            if word.count("1") > 1 and all(p.a < tail for p in _language_params(word, bound, bound)):
+                continue
+            if leaves is not None and "1" in word:
                 leaves.append(word)
             if has_params(word):
                 found.append(word)
@@ -340,6 +346,21 @@ class TestBruteForce:
         for n in range(1, 9):
             assert "0" * n in brute_force_solutions(n)
 
+    def test_all_zero_is_one_long_block(self):
+        # The search lists 0^n without a leaf: its square is n squares 00,
+        # and its 2n zeros are one long block of a = 2n - 1, b = 0.
+        for n in range(1, 61):
+            assert Params(2 * n - 1, 0) in find_params("0" * n), n
+
+    def test_every_pair_has_a_past_the_tail(self):
+        # The padded leaf keeps only an a at least its tail zero run: w
+        # starts with 0, so a tail of a + 1 zeros gives w w a junction run
+        # of a + 2 or more, which no block of a has.
+        for n in range(1, 31):
+            for word in brute_force_solutions(n):
+                tail = n - len(word.rstrip("0"))
+                assert all(p.a >= tail for p in find_params(word)), word
+
     def test_members_have_params(self):
         for word in brute_force_solutions(7):
             assert has_params(word)
@@ -356,12 +377,13 @@ class TestBruteForce:
 
     def test_pruning_bounds_the_leaves(self, leaves):
         # Generate-and-test would check 5.7 M words at n = 33; the language
-        # alone leaves 1,863 words of full length, and the square parse 784.
+        # alone leaves 1,580 words of full length with an a past their tail,
+        # and the square parse 699.
         assert len(brute_force_solutions(33)) == 19
-        assert len(leaves) == 784
+        assert len(leaves) == 699
         leaves.clear()
         assert len(rederiving_dfs(33, parsed=False, leaves=leaves)) == 19
-        assert len(leaves) == 1863
+        assert len(leaves) == 1580
 
     def test_carried_state_equals_rederiving(self, leaves):
         # The same leaves are decided in the same order, so the carried
@@ -377,39 +399,42 @@ class TestBruteForce:
 
     def test_parse_prune_keeps_every_solution(self, leaves):
         # The pruned leaves are a subsequence of the language-only ones and
-        # hold every solution: the parse condition is necessary.
+        # hold every solution but 0^n, which needs no leaf: the parse
+        # condition is necessary.
         for n in range(1, 31):
             found = brute_force_solutions(n)
             pruned = leaves[:]
             leaves.clear()
             solutions = rederiving_dfs(n, parsed=False, leaves=leaves)
-            assert set(solutions) <= set(pruned) and solutions == found, n
+            assert set(solutions) <= set(pruned) | {"0" * n} and solutions == found, n
             language = iter(leaves)
             assert all(word in language for word in pruned), n
             leaves.clear()
 
     def test_leaf_decision_equals_has_params(self, decided):
         # The decision read off the carried state is has_params at every
-        # leaf, solution or not, of every kind: 0^n, one 1, b still free
-        # and b pinned.
+        # leaf, solution or not, of every kind: one 1, b still free and b
+        # pinned.  0^n is listed without a leaf.
         for n in range(1, 31):
             brute_force_solutions(n)
         assert all(result == has_params(word) for word, _, result in decided)
         ones = {word.count("1") for word, _, _ in decided}
-        assert {0, 1, 2, 3} <= ones
-        entries = [entry for _, live, _ in decided for entry in live or ()]
-        assert {parses is None for _, _, _, parses in entries} == {True, False}
+        assert {1, 2, 3} <= ones and 0 not in ones
+        entries = [entry for _, live, _ in decided for entry in live]
+        assert {parses is None for _, _, parses in entries} == {True, False}
         assert {result for _, _, result in decided} == {True, False}
 
     def test_junction_rule_equals_rederiving_the_square(self, decided):
-        # The square's kinds word read off each live entry is what _derive
-        # gives on w w, and a word with one 1 holds only a = n - 2 or n - 1.
+        # The square's kinds word read off each live entry and the word's
+        # tail run, at most a, is what _derive gives on w w, and a word with
+        # one 1 holds only a = n - 2 or n - 1.
         for n in range(1, 27):
             brute_force_solutions(n)
         for word, live, _ in decided:
-            head = word.find("1")
-            for a, kinds, t, _ in live or ():
-                assert _doubled(kinds, a, t, head) == _derive(word + word, a), (word, a)
+            head, tail = word.find("1"), len(word) - 1 - word.rfind("1")
+            for a, kinds, _ in live:
+                assert tail <= a, (word, a)
+                assert _doubled(kinds, a, tail, head) == _derive(word + word, a), (word, a)
         for n in range(2, 41):
             for head in range(1, n):
                 word = "0" * head + "1" + "0" * (n - 1 - head)
@@ -421,16 +446,16 @@ class TestBruteForce:
 
     def test_carried_state_equals_reparsing(self, decided):
         # At each leaf, every live a carries what re-deriving and re-parsing
-        # the word up to its last 1 gives: the kinds word, the trailing
-        # zeros, and, once kinds has two 1s, each b of the second level
-        # whose parse admits that prefix, with the parse's stop.
+        # the word up to its last 1 gives: the kinds word and, once kinds
+        # has two 1s, each b of the second level whose parse admits that
+        # prefix, with the parse's stop.
         for n in range(1, 27):
             brute_force_solutions(n)
         pinned = 0
         for word, live, _ in decided:
-            for a, kinds, t, parses in live or ():
-                prefix = word[: len(word) - t]
-                assert prefix.endswith("1") and kinds == _derive(prefix, a), (word, a)
+            prefix = word[: word.rfind("1") + 1]
+            for a, kinds, parses in live:
+                assert kinds == _derive(prefix, a), (word, a)
                 if kinds.count("1") < 2:
                     assert parses is None, (word, a)
                     continue
@@ -441,7 +466,7 @@ class TestBruteForce:
                     if parse_admits(prefix, Params(a, b))
                 ]
                 assert [(q, b) for q, b, _ in parses] == expected, (word, a)
-        assert pinned > 800
+        assert pinned >= 743
 
     def test_failed_parse_stays_failed(self):
         # A pinned b that fails the parse condition is dropped for good: the
@@ -490,9 +515,9 @@ class TestBruteForce:
         assert _second_level.cache_info().misses == asked.misses
 
     def test_each_window_is_built_once(self, capsys):
-        # One table per (a, b) serves the pinned parses, the leaves and the
-        # 0^n leaves' has_params: the searches for n = 1..60 build 491
-        # windows, each once, and the bound holds them all.
+        # One table per (a, b) serves the pinned parses and the leaves: the
+        # searches for n = 1..60 build 461 windows, each once, and the bound
+        # holds them all.
         _tables.cache_clear()
         assert main(["count", "--range", "1..60", "--brute"]) == 0
         built = _tables.cache_info()
