@@ -59,6 +59,8 @@ def _check_word_length(length: int) -> None:
 
 
 def _read_word(args) -> str:
+    if args.word is not None and args.word_file is not None:
+        raise argparse.ArgumentTypeError("take --word or --word-file, not both")
     if args.word_file:
         text = ""
         try:
@@ -237,6 +239,8 @@ def _cmd_orbits(args) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
+    if args.kind != "sl" and (args.word is not None or args.c != 1):
+        raise argparse.ArgumentTypeError("fixedpoint takes --word and --c only with --kind sl")
     if args.length > _MAX_LENGTH:
         raise DomainError(f"--length is capped at {_MAX_LENGTH} letters, got {args.length}")
     if args.kind == "sl":
@@ -258,7 +262,7 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
         "a": stream.params.a,
         "b": stream.params.b,
         "c": args.c if args.kind == "sl" else None,
-        "block_word": args.word if args.kind == "sl" else None,
+        "block_word": args.word,
         "description": stream.description,
         "length": len(prefix),
         "prefix": prefix,

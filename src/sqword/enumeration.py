@@ -29,7 +29,6 @@ solution outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 
 from .errors import DomainError, NotADivisorError, NotCoprimeError
@@ -168,43 +167,34 @@ def count_solutions(n: int, brute: bool = False) -> CountReport:
     return CountReport(n=n, formula_count=formula, brute_count=brute_count, per_divisor=per)
 
 
-# The searches for n = 1..60 ask about 815 distinct kinds words, those with
-# fewer than two 1s and the first with two along each branch, so a small
-# table holds them all and bounds its memory.
-@lru_cache(maxsize=2048)
-def _second_level(kinds: str) -> tuple[int, ...]:
-    # The b up to the kinds word's length that hold it at the second level;
-    # none if no b does.  _derive caps b at that length, so every larger b
-    # answers as that one does.
-    return tuple(b for b in _levels(kinds, 0, len(kinds)) if _derive(kinds, b) is not None)
-
-
-def _offered(h: int, low: int) -> list[tuple]:
-    # The entries (a, kinds, None) that a word 0^h 1 offers for a in low and
-    # low + 1: its head zeros fit in one block of each a >= max(1, h - 1),
-    # and are a whole long block, the kinds word "1", when h = a + 1.  Its
-    # leaf asks for low = n - 2, and each child 0^z 1 for low = z - 1.
-    return [(a, "1" if h == a + 1 else "", None) for a in (low, low + 1) if a >= max(1, h - 1)]
+def _offered(h: int, z: int) -> list[tuple]:
+    # The entries (a, kinds, None) that a word 0^h 1 offers its child 0^z 1
+    # for a in z - 1 and z: its head zeros fit in one block of each
+    # a >= max(1, h - 1), and are a whole long block, the kinds word "1",
+    # when h = a + 1.
+    return [(a, "1" if h == a + 1 else "", None) for a in (z - 1, z) if a >= max(1, h - 1)]
 
 
 def _committed(word: str, a: int, kinds: str, parses: list | None) -> tuple | None:
     # The entry (a, kinds, parses) once the 1 ending *word* has committed
     # the last letter of *kinds*, or None if a drops out.  parses is None
-    # while kinds has fewer than two 1s; after that it lists (q, b, tables)
-    # for each pinned b that holds kinds and whose roots spelled the word at
-    # each prefix ending in 1, q being where its parse of word stops.  As
-    # b <= |kinds| <= n // (a + 1) and a <= n, _tables(a, b) is the window of
-    # every parse of w or w w.  A pinned b held kinds before its last letter,
-    # so _derive's rule at the one block that changed decides whether it
-    # still does: a 1 ends a zero run of b or b + 1 letters, and a 0 keeps
-    # the tail run within b + 1.  Only the roots are checked, not the rest.
+    # while kinds has fewer than two 1s: b = |kinds| holds such a word, as
+    # its edge zero runs are at most b + 1 and it has no inner run.  After
+    # that it lists (q, b, tables) for each pinned b that holds kinds and
+    # whose roots spelled the word at each prefix ending in 1, q being where
+    # its parse of word stops.  As b <= |kinds| <= n // (a + 1) and a <= n,
+    # _tables(a, b) is the window of every parse of w or w w.  When the
+    # second 1 arrives, kinds is 0^x 1 0^r 1 (x = 0 when led by an L), which
+    # _derive holds for exactly the b that _levels gives it,
+    # max(0, x - 1, r - 1) <= b <= r.  A pinned b held kinds before its last
+    # letter, so _derive's rule at the one block that changed decides
+    # whether it still does: a 1 ends a zero run of b or b + 1 letters, and
+    # a 0 keeps the tail run within b + 1.  Only the roots are checked, not
+    # the rest.
     if parses is None:
-        held = _second_level(kinds)
-        if not held:
-            return None
         if kinds.count("1") < 2:
             return a, kinds, None
-        parses = [(0, b, _tables(a, b)) for b in held]
+        parses = [(0, b, _tables(a, b)) for b in _levels(kinds, 0, len(kinds))]
         low, high = 0, len(kinds)
     else:
         run = len(kinds) - 2 - kinds.rfind("1", 0, -1)
@@ -237,8 +227,7 @@ def _leaf_has_params(word: str, live) -> bool:
     carried for each pinned b.  The live a include the a of every solution
     pair of w, and a pinned b left out of the entry has failed its parse,
     so only those pairs are tried.  While kinds has fewer than two 1s, as
-    in the entries ``_offered`` gives a word with one 1, every b is parsed
-    from the start.
+    in the entry of a word with one 1, every b is parsed from the start.
     """
     n = len(word)
     head, tail = word.find("1"), n - 1 - word.rfind("1")
@@ -283,17 +272,20 @@ def brute_force_solutions(n: int) -> list[str]:
     of a has.  So the words ending in 1 are those a letter-by-letter search
     reaches, in the same order, and a word of length n is decided when some
     live a is at least its tail run.  A word 0^h 1 with one 1 carries none:
-    ``_offered`` builds the entries it offers, for a in {z - 1, z} to each
-    child 0^z 1, which commits them as above, and for a in {n - 2, n - 1} to
-    its leaf, whose square has one inner zero run, of n - 1 letters.
+    ``_offered`` builds the entries it offers each child 0^z 1, for a in
+    {z - 1, z}, which the child commits as above.  Its leaf tries only
+    a = n - 1: the square has one inner zero run, of n - 1 letters, and
+    a = n - 2 parses it only where a = n - 1 does too.
 
-    The second level reads a memo of the b that hold each kinds word:
-    ``_derive`` caps b at the word's length, and every kinds word here has
-    at most n/2 + 1 < 2n letters, so the memo is keyed on the kinds word
-    alone.  Once the kinds word has two 1s, its first inner zero run pins b
-    to at most two values, and b holds kinds + c exactly when it holds kinds
-    and c = 1 closes a zero run of b or b + 1 letters, or c = 0 leaves the
-    tail run at most b + 1: ``_derive``'s rule at the one block c changes.
+    The second level is read off the kinds word in closed form.  While it
+    has fewer than two 1s it has no inner zero run, so b = |kinds| holds it
+    (its edge zero runs are at most b + 1), and the entry carries no b.
+    When its second 1 arrives, it is 0^x 1 0^r 1, which b holds exactly for
+    max(0, x - 1, r - 1) <= b <= r, the range ``_levels`` gives: its first
+    inner zero run pins b to at most two values.  After that b holds
+    kinds + c exactly when it holds kinds and c = 1 closes a zero run of b
+    or b + 1 letters, or c = 0 leaves the tail run at most b + 1:
+    ``_derive``'s rule at the one block c changes.
 
     Each live a whose kinds word has two 1s must also pass the square parse
     at each appended 1: for some pinned b, the greedy minimal-square parse
@@ -329,8 +321,13 @@ def brute_force_solutions(n: int) -> list[str]:
         tail = n - len(word)
         h = len(word) - 1  # the head run of a word with one 1, which carries no entries
         # the word padded with zeros comes first in its subtree; an a below
-        # its tail run would close w w with a junction run of a + 2 or more
-        leaf = [entry for entry in live or _offered(h, n - 2) if tail <= entry[0]]
+        # its tail run would close w w with a junction run of a + 2 or more.
+        # A word 0^h 1 pads to w with w w = 0^h 1 0^(n-1) 1 0^t, whose one
+        # inner run of n - 1 zeros leaves a = n - 2 or n - 1.  a = n - 2
+        # parses it only when h = 1, as s3 s3, and a = n - 1 then parses it
+        # too, as s2 s2, with the kinds word "0" that every b holds.  Its
+        # entry's kinds word is "", as h <= n - 1 < a + 1.
+        leaf = [entry for entry in live if tail <= entry[0]] if live else [(n - 1, "", None)]
         if leaf and _leaf_has_params(padded := word + "0" * tail, leaf):
             found.append(padded)
         # then each child word 0^z 1, the largest z first, so pushed last;
@@ -339,7 +336,7 @@ def brute_force_solutions(n: int) -> list[str]:
         for z in range(low, min(live[-1][0] + 2 if live else tail, tail)):
             child = word + "0" * z + "1"
             grown = []
-            for a, kinds, parses in live or _offered(h, z - 1):
+            for a, kinds, parses in live or _offered(h, z):
                 if z - 1 <= a <= z:
                     entry = _committed(child, a, kinds + ("0" if z == a else "1"), parses)
                     if entry:

@@ -382,6 +382,33 @@ class TestOtherCommands:
         assert capsys.readouterr().err.endswith("unrecognized arguments: --b 1\n")
 
     @pytest.mark.parametrize(
+        "extra", [["--c", "5"], ["--word", "0101"]], ids=["c", "word"]
+    )
+    @pytest.mark.parametrize("kind", ["nosquare", "biperiodic"])
+    def test_fixedpoint_block_flags_need_sl(self, capsys, kind, extra):
+        # a --word or --c the kind would drop is refused; the default c = 1
+        # still runs
+        with pytest.raises(SystemExit) as exc:
+            main(["fixedpoint", "--kind", kind, "--a", "1", *extra, "--length", "10"])
+        assert exc.value.code == 2
+        message = "sqword: error: fixedpoint takes --word and --c only with --kind sl\n"
+        assert capsys.readouterr().err.endswith(message)
+        env = run_json(capsys, "fixedpoint", "--kind", kind, "--a", "1", "--c", "1", "--length", "10")
+        assert env["result"]["c"] is None and env["result"]["block_word"] is None
+
+    @pytest.mark.parametrize("argv", [["check"], ["classify"], ["sqrt", "--a", "1"], ["period"]])
+    def test_word_and_word_file_exclude_each_other(self, capsys, tmp_path, argv):
+        # the refusal comes before the file is read, so it need not exist
+        path = tmp_path / "word.txt"
+        path.write_text("01010010\n", encoding="utf-8")
+        for name in (path, tmp_path / "missing.txt"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--word", "0101", "--word-file", str(name)])
+            assert exc.value.code == 2
+            message = "sqword: error: take --word or --word-file, not both\n"
+            assert capsys.readouterr().err.endswith(message)
+
+    @pytest.mark.parametrize(
         "argv",
         [["check"], ["check", "--a", "1"], ["classify"], ["sqrt", "--a", "1"], ["period"]],
     )

@@ -74,6 +74,9 @@ ROWS = [
     ('check --word 0 --a 1 --a-max 100000', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: check takes --a or --a-max/--b-max, not both'),
     ('check --word 0 --a 1 --b-max 5', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: check takes --a or --a-max/--b-max, not both'),
     ('check --word 0101 --b 5', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: check takes --b only with --a'),
+    ('check --word 0101 --word-file no-such-file', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: take --word or --word-file, not both'),
+    ('fixedpoint --kind nosquare --a 1 --c 5 --length 10', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: fixedpoint takes --word and --c only with --kind sl'),
+    ('fixedpoint --kind biperiodic --a 1 --word 0101 --length 10', 2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'sqword: error: fixedpoint takes --word and --c only with --kind sl'),
     # domain errors
     ('check', 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: a word is required (use --word or --word-file)'),
     ("check --word ''", 1, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'error: solutions are nonempty'),

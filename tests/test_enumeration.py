@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
 import sys
@@ -7,11 +9,9 @@ import sys
 import pytest
 
 import sqword.enumeration
-from sqword.cli import main
 from sqword.enumeration import (
     _doubled,
     _factorize,
-    _second_level,
     brute_force_solutions,
     count_solutions,
     divisor_count,
@@ -117,6 +117,13 @@ def bound_walk(kinds, bound):
     """The second level as a walk up to an explicit bound: the b <= bound
     that hold the kinds word."""
     return [b for b in _levels(kinds, 0, bound) if _derive(kinds, b) is not None]
+
+
+def second_level(kinds):
+    """The b up to the kinds word's length that hold it at the second level;
+    none if no b does.  ``_derive`` caps b at that length, so every larger b
+    answers as that one does."""
+    return tuple(b for b in _levels(kinds, 0, len(kinds)) if _derive(kinds, b) is not None)
 
 
 def order_walk(d: int) -> int:
@@ -239,7 +246,7 @@ class TestOrbitCount:
             for name, value in vars(module).items()
             if hasattr(value, "cache_info")
         }
-        assert {"_tables", "_second_level"} <= set(tables)
+        assert "_tables" in tables
         assert all(table.cache_info().maxsize is not None for table in tables.values()), tables
 
 
@@ -443,6 +450,12 @@ class TestBruteForce:
                 for a in held:
                     kinds = "1" if head == a + 1 else ""
                     assert _doubled(kinds, a, n - 1 - head, head) == _derive(word + word, a)
+                # its leaf tries only a = n - 1: a = n - 2 solves it only for
+                # head = 1, where a = n - 1 does too
+                pairs = find_params(word)
+                assert has_params(word) == (head == 1), word
+                assert (Params(n - 1, 0) in pairs) == (head == 1), word
+                assert head == 1 or all(p.a != n - 2 for p in pairs), word
 
     def test_carried_state_equals_reparsing(self, decided):
         # At each leaf, every live a carries what re-deriving and re-parsing
@@ -462,7 +475,7 @@ class TestBruteForce:
                 pinned += 1
                 expected = [
                     (parse(prefix, Params(a, b)).consumed, b)
-                    for b in _second_level(kinds)
+                    for b in second_level(kinds)
                     if parse_admits(prefix, Params(a, b))
                 ]
                 assert [(q, b) for q, b, _ in parses] == expected, (word, a)
@@ -482,11 +495,11 @@ class TestBruteForce:
 
     def test_memo_equals_bound_keyed_walk(self):
         # _derive caps b at the kinds word's length, so every bound at or
-        # past it asks the same question, and the memo answers it.
+        # past it asks the same question, and second_level answers it.
         for n in range(15):
             for letters in itertools.product("01", repeat=n):
                 kinds = "".join(letters)
-                held = _second_level(kinds)
+                held = second_level(kinds)
                 for bound in (n, n + 1, 2 * n + 2):
                     walk = bound_walk(kinds, bound)
                     assert list(held) == [b for b in walk if b <= n], (kinds, bound)
@@ -496,32 +509,31 @@ class TestBruteForce:
         # The second level in closed form, read off the zero runs alone: b
         # is at least h - 1, t - 1 and R - 1 (the head, tail and greatest
         # inner run) and at most the least inner run r and the word's length.
+        # The search reads it so: a kinds word with fewer than two 1s holds
+        # some b, and one of the form 0^x 1 0^r 1 holds the b _levels gives.
         for n in range(13):
             for bits in range(1 << n):
                 kinds = format(bits, f"0{n}b") if n else ""
                 head, tail, inner = zero_runs(kinds)
                 low = max(0, head - 1, tail - 1, max(inner, default=0) - 1)
                 high = min(inner, default=n)
-                assert _second_level(kinds) == tuple(range(low, min(high, n) + 1)), kinds
+                held = second_level(kinds)
+                assert held == tuple(range(low, min(high, n) + 1)), kinds
+                if kinds.count("1") < 2:
+                    assert held, kinds
+                elif kinds.count("1") == 2 and kinds.endswith("1"):
+                    assert list(held) == list(_levels(kinds, 0, len(kinds))), kinds
 
-    def test_memo_is_keyed_on_the_kinds_word(self):
-        # Neither the search's pruning nor its memo depends on n, so a
-        # shorter search asks only kinds words that a longer one has asked.
-        _second_level.cache_clear()
-        brute_force_solutions(26)
-        asked = _second_level.cache_info()
-        assert asked.currsize == asked.misses < asked.maxsize
-        brute_force_solutions(24)
-        assert _second_level.cache_info().misses == asked.misses
-
-    def test_each_window_is_built_once(self, capsys):
+    def test_each_window_is_built_once(self):
         # One table per (a, b) serves the pinned parses and the leaves: the
         # searches for n = 1..60 build 461 windows, each once, and the bound
-        # holds them all.
+        # holds them all.  Their lists are pinned by hash.
         _tables.cache_clear()
-        assert main(["count", "--range", "1..60", "--brute"]) == 0
+        lists = [brute_force_solutions(n) for n in range(1, 61)]
         built = _tables.cache_info()
         assert built.misses == built.currsize < built.maxsize
+        digest = hashlib.sha1(json.dumps(lists).encode()).hexdigest()
+        assert digest == "ec8902be8c62c39998f174da9e09014315b05c7c"
 
     def test_no_solution_contains_11(self):
         # The search only builds 11-free words.
