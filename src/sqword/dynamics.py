@@ -23,7 +23,14 @@ from .errors import (
     NotInPiError,
     PreconditionFailedError,
 )
-from .squares import Params, _s6_length, in_language, minimal_square_roots, minimal_squares, parse
+from .squares import (
+    Params,
+    _pieces_in_language,
+    _s6_length,
+    minimal_square_roots,
+    minimal_squares,
+    parse,
+)
 from .standard import natural_params
 from .words import are_conjugate, check_binary, check_nonempty, exchange_first_two
 
@@ -48,10 +55,11 @@ class SquareStream:
     block_factory: BlockFactory
     description: str
 
-    def _leaves(self, min_len: int) -> tuple[list[Blocks], str]:
+    def _leaves(self, min_len: int) -> tuple[list[Blocks], list[str]]:
         # The leaves up to the one reaching min_len letters, cut after the block
-        # reaching it, and the prefix they spell.  Each distinct leaf is spelled
-        # once, keyed by its id; the memo holds the leaf, so no id is reused.
+        # reaching it, and the word each spells.  Each distinct leaf is spelled
+        # once, keyed by its id, and its word repeats by reference; the memo
+        # holds the leaf, so no id is reused.
         if min_len < 1:
             raise DomainError("prefix length must be >= 1")
         squares = dict(enumerate(minimal_squares(self.params), 1))
@@ -73,13 +81,14 @@ class SquareStream:
             if cut == len(ends):
                 raise DomainError(f"stream {self.description!r} emitted block index {leaf[cut - 1]!r}")
             leaves.append(leaf[:cut])
-            return leaves, "".join(chain(words, map(squares.__getitem__, leaf[:cut])))
+            words.append("".join(map(squares.__getitem__, leaf[:cut])))
+            return leaves, words
         raise DomainError(f"stream {self.description!r} ended before {min_len} letters")
 
     def prefix_blocks(self, min_len: int) -> tuple[str, tuple[int, ...]]:
         """Materialize whole blocks until at least *min_len* letters."""
-        leaves, prefix = self._leaves(min_len)
-        return prefix, tuple(chain.from_iterable(leaves))
+        leaves, words = self._leaves(min_len)
+        return "".join(words), tuple(chain.from_iterable(leaves))
 
     def prefix(self, min_len: int) -> str:
         return self.prefix_blocks(min_len)[0]
@@ -299,8 +308,10 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
 
     Materializes at least *target_len* letters, applies the square root
     ``iterations`` times (trimming to complete squares between iterations),
-    and compares against the stream's own prefix.  A prefix that fails the
-    factor-language check signals a construction bug and raises.
+    and compares against the stream's own prefix.  A prefix outside the
+    factor language signals a construction bug and raises; it is decided
+    once per distinct leaf and once per distinct junction window between
+    leaves, not letter by letter (``squares._pieces_in_language``).
 
     The first root is read off the emitted leaves, each distinct leaf spelled
     once, instead of a parse: the prefix is the product of their squares, and
@@ -309,8 +320,8 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
     """
     if target_len < 1 or iterations < 1:
         raise DomainError("target length and iteration count must be >= 1")
-    leaves, word = stream._leaves(target_len)
-    if not in_language(word, stream.params):
+    leaves, words = stream._leaves(target_len)
+    if not _pieces_in_language(words, stream.params):
         raise NotInPiError(
             f"stream {stream.description!r} emitted a prefix outside its language"
         )
@@ -324,7 +335,7 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
             raise EmptyAfterTrimError(
                 f"stream {stream.description!r} root vanished after trimming"
             )
-    return current == word[: len(current)]
+    return "".join(words).startswith(current)
 
 
 def find_periodic_shift(stream: SquareStream, block: str) -> tuple[int, PeriodReport] | None:

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import EmptyAfterTrimError, InvalidParamsError, NotInPiError
 from .words import check_binary
@@ -159,6 +159,65 @@ def in_language(word: str, params: Params) -> bool:
     check_binary(word)
     kinds = _derive(word, params.a)
     return kinds is not None and _derive(kinds, params.b) is not None
+
+
+def _pieces_in_language(pieces: Iterable[str], params: Params) -> bool:
+    """``in_language`` of the binary words *pieces* joined, reading each
+    distinct piece once and each distinct junction window once.
+
+    A piece is checked the first time it comes; pieces are keyed by id, and
+    each is held while the walk runs, so no id is reused.  A junction is
+    checked through its window, the last W letters before it and the first
+    W letters after it, with W = 2|s6| + 2a + 6, once per distinct pair of
+    those last letters and the piece after it.
+
+    This is exact.  The language is closed under factors: the zero runs of
+    a factor lie inside runs of the word, so ``_derive`` accepts the factor
+    when it accepts the word, and the blocks the factor pins down are
+    consecutive blocks of the word, so its kinds word is a factor of the
+    word's, and the same holds one level up.  So a join in the language has
+    every piece and every window in it.
+
+    Conversely, every word outside the language has a factor of at most
+    |s6| letters outside it.  ``_derive(word, k)`` refuses a word only for a
+    zero run of the wrong length: an edge run longer than k + 1, or a run
+    between two 1s shorter than k (a ``11`` when it is empty) or longer than
+    k + 1.  Each shows in a factor of at most k + 2 letters that ``_derive``
+    refuses too: ``0^(k+2)``, or the short run with its two 1s.  At the
+    first level k = a, and a + 2 < |s6|.  At the second level k = b, over
+    the kinds word of a word the first level accepts: there an S is
+    ``1 0^a`` followed by a 1, and an L is ``1 0^(a+1)`` or a head run
+    ``0^(a+1)``.  A run of S that is too long holds b + 2 S in a row,
+    refused in the factor ``(1 0^a)^(b+2) 1`` of |s6| letters, whose kinds
+    word is that run.  A run of r < b S lies between two L, refused in the
+    factor ``0^(a+1) (1 0^a)^r 1 0^(a+1)``, whose kinds word is L S^r L, of
+    (r + 2)(a + 1) + 1 < |s6| letters.
+
+    Such a factor of the join lies inside one piece, or it ends in the piece
+    after the last junction it straddles and starts fewer than |s6| letters
+    before that junction, inside its window.  Windows of |s6| - 1 letters a
+    side would do; W is wider, at a cost of a few dozen letters per window.
+    """
+    a, b = params.a, params.b
+    width = 2 * _s6_length(params) + 2 * a + 6
+
+    def member(word: str) -> bool:
+        # in_language without its letter check: the pieces are binary
+        kinds = _derive(word, a)
+        return kinds is not None and _derive(kinds, b) is not None
+
+    held, windows, tail = {}, set(), ""
+    for piece in pieces:
+        if id(piece) not in held:
+            if not member(piece):
+                return False
+            held[id(piece)] = piece
+        if tail and (tail, id(piece)) not in windows:
+            if not member(tail + piece[:width]):
+                return False
+            windows.add((tail, id(piece)))
+        tail = (tail + piece[-width:])[-width:]
+    return True
 
 
 _LASTINDEX = attrgetter("lastindex")

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import sqword.dynamics
+import sqword.squares
 from sqword.dynamics import (
     PeriodReport,
     SquareStream,
@@ -714,6 +715,75 @@ class TestVerification:
             visible = "01" + "0" * a + group * 3 + "1"
             assert root.startswith(visible)
             assert visible not in word[:10000]
+
+
+def spelled_length(params: Params, leaves) -> int:
+    """The letters the squares of *leaves* spell."""
+    lengths = [len(square) for square in minimal_squares(params)]
+    return sum(lengths[i - 1] for leaf in leaves for i in leaf)
+
+
+class TestVerifiedLanguage:
+    # verify_fixed_point decides the language once per distinct leaf and per
+    # junction window; each bad factory below hides its bad factor where only
+    # one of those checks sees it, and the whole-prefix oracle agrees
+    @staticmethod
+    def refuses(stream: SquareStream, n: int) -> None:
+        message = f"stream {stream.description!r} emitted a prefix outside its language"
+        with pytest.raises(NotInPiError, match="^" + re.escape(message) + "$"):
+            verify_fixed_point(stream, n)
+        with pytest.raises(NotInPiError):
+            verify_by_parsing(stream, n)
+
+    def test_junction_bad_after_many_good_repeats(self):
+        # For (1, 1), (x y)^50 and z x are in the language, but the last S of
+        # z, the two S of x and the first 1 of y spell S^3: the x|y junction
+        # turns bad only with z before it, after fifty good ones
+        params = Params(1, 1)
+        x, y, z = (4,), (6, 2, 1), (4, 5)
+        leaves = [x, y] * 50 + [z] + [x, y] * 50
+        stream = SquareStream(params, lambda: iter(leaves), "late junction")
+        # up to z every check passes; the word is no fixed point
+        good = spelled_length(params, leaves[:101])
+        assert verify_fixed_point(stream, good) is verify_by_parsing(stream, good) is False
+        self.refuses(stream, spelled_length(params, leaves))
+
+    def test_distinct_bad_leaf(self):
+        # 1010 1010 spells S^4 for (1, 0); set in the middle of a 244-block
+        # leaf of the fixed point, it leaves both junction windows as they were
+        leaves = list(itertools.islice(fixed_point_stream(BLOCK).block_factory(), 12))
+        leaves[9] = leaves[9][:120] + (4, 4) + leaves[9][120:]
+        stream = SquareStream(P10, lambda: iter(leaves), "bad leaf")
+        good = spelled_length(P10, leaves[:9])
+        assert verify_fixed_point(stream, good) is verify_by_parsing(stream, good) is True
+        self.refuses(stream, spelled_length(P10, leaves))
+
+    def test_final_cut_leaf_leaves_the_language(self):
+        # the same bad leaf, cut by the length: the cut is checked, not the
+        # whole leaf, so a cut before the bad blocks still verifies
+        leaves = list(itertools.islice(fixed_point_stream(BLOCK).block_factory(), 10))
+        leaves[9] = leaves[9][:120] + (4, 4) + leaves[9][120:]
+        stream = SquareStream(P10, lambda: iter(leaves), "bad cut")
+        good = spelled_length(P10, [*leaves[:9], leaves[9][:120]])
+        assert verify_fixed_point(stream, good) is verify_by_parsing(stream, good) is True
+        self.refuses(stream, good + 40)
+
+    def test_language_check_reads_a_small_share(self, monkeypatch):
+        # A work count, not a timing.  Reading the whole prefix hands _derive
+        # 1.2 to 1.45 times its letters (the word, then its kinds word); at
+        # 10^6 letters the distinct leaves and junction windows of these
+        # streams are 2.9% to 14.2% of it.  The distinct leaves set that
+        # floor: nosquare spells each flat level's two pieces once.
+        derive, letters = sqword.squares._derive, []
+        monkeypatch.setattr(
+            sqword.squares, "_derive", lambda word, k: letters.append(len(word)) or derive(word, k)
+        )
+        streams = [fixed_point_stream(block) for block in LONG_BLOCKS]
+        streams += [make(a) for a in (1, 2, 3) for make in (no_square_prefix_word, two_periodic_word)]
+        for stream in streams:
+            letters.clear()
+            verify_fixed_point(stream, 10**6)
+            assert 0 < sum(letters) < 10**6 // 5, stream.description
 
 
 def test_period_report_json():

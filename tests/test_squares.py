@@ -283,6 +283,45 @@ class TestLanguage:
         assert peak_bytes(run) < 1 << 20
 
 
+class TestPiecesInLanguage:
+    # squares._pieces_in_language against in_language of the join
+
+    def test_every_two_piece_split_of_short_words(self):
+        for n in range(13):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                pairs = [(word[:i], word[i:]) for i in range(n + 1)]
+                for p in NFA_PARAMS:
+                    got = [squares._pieces_in_language(pair, p) for pair in pairs]
+                    assert got == [in_language(word, p)] * (n + 1), (word, p)
+
+    def test_cut_products_with_a_repeated_piece(self):
+        # Factors of s5/s6 products with up to two letters flipped, cut at up
+        # to six places, one piece object repeated up to three times: a bad
+        # run that straddles a cut, or a repeat, is seen only in a junction
+        # window.  Windows of a + 3 letters fail here, and so do windows of
+        # |s6| - 2 letters, just under the docstring's bound.
+        rng = random.Random(29)
+        inside = 0
+        for _ in range(3000):
+            p = Params(rng.randrange(1, 5), rng.randrange(4))
+            text = product_word(p, rng, 400)
+            i = rng.randrange(len(text) // 2)
+            letters = list(text[i : i + rng.randrange(1, 200)])
+            for _ in range(rng.randrange(3)):
+                j = rng.randrange(len(letters))
+                letters[j] = "1" if letters[j] == "0" else "0"
+            word = "".join(letters)
+            cuts = sorted(rng.sample(range(len(word) + 1), rng.randrange(min(7, len(word) + 2))))
+            pieces = [word[j:k] for j, k in zip([0, *cuts], [*cuts, len(word)])]
+            r = rng.randrange(len(pieces))
+            pieces[r : r + 1] = [pieces[r]] * rng.randrange(1, 4)
+            expected = in_language("".join(pieces), p)
+            inside += expected
+            assert squares._pieces_in_language(pieces, p) == expected, (pieces, p)
+        assert 500 < inside < 2500
+
+
 class TestFactorization:
     def test_flagship(self):
         fact = parse("0101001001010010", P10)
