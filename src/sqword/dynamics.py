@@ -26,6 +26,7 @@ from .errors import (
 from .squares import (
     Params,
     _pieces_in_language,
+    _root_pieces,
     _s6_length,
     minimal_square_roots,
     minimal_squares,
@@ -91,7 +92,7 @@ class SquareStream:
         return "".join(words), tuple(chain.from_iterable(leaves))
 
     def prefix(self, min_len: int) -> str:
-        return self.prefix_blocks(min_len)[0]
+        return "".join(self._leaves(min_len)[1])
 
 
 def _chain_params(block: str, c: int) -> Params:
@@ -316,7 +317,10 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
     The first root is read off the emitted leaves, each distinct leaf spelled
     once, instead of a parse: the prefix is the product of their squares, and
     no minimal square is a prefix of another, so the greedy parse of the
-    prefix is the block sequence itself.  Only the later iterations parse.
+    prefix is the block sequence itself.  Each later iteration parses the
+    previous root piece by piece (``squares._root_pieces``): once per
+    distinct pair of piece and the unparsed carry before it, never the whole
+    joined root.
     """
     if target_len < 1 or iterations < 1:
         raise DomainError("target length and iteration count must be >= 1")
@@ -328,14 +332,14 @@ def verify_fixed_point(stream: SquareStream, target_len: int, iterations: int = 
     roots = dict(enumerate(minimal_square_roots(stream.params), 1))
     distinct = {id(leaf): leaf for leaf in leaves}  # leaves holds each, so no id is reused
     spelled = {key: "".join(map(roots.__getitem__, leaf)) for key, leaf in distinct.items()}
-    current = "".join([spelled[id(leaf)] for leaf in leaves])
+    pieces = [spelled[id(leaf)] for leaf in leaves]
     for _ in range(iterations - 1):
-        current = parse(current, stream.params).root()
-        if not current:
+        pieces = _root_pieces(pieces, stream.params)
+        if not any(pieces):
             raise EmptyAfterTrimError(
                 f"stream {stream.description!r} root vanished after trimming"
             )
-    return "".join(words).startswith(current)
+    return "".join(words).startswith("".join(pieces))
 
 
 def find_periodic_shift(stream: SquareStream, block: str) -> tuple[int, PeriodReport] | None:

@@ -220,6 +220,40 @@ def _pieces_in_language(pieces: Iterable[str], params: Params) -> bool:
     return True
 
 
+def _root_pieces(pieces: Iterable[str], params: Params) -> list[str]:
+    """``parse(join, params).root()`` of the binary words *pieces* joined,
+    as a list of pieces whose join it is.
+
+    The walk carries the unparsed tail of the text so far and parses each
+    distinct pair of carry and next piece once, appending that parse's root
+    by reference and carrying what it left unparsed.  Pieces are keyed by
+    id, and the memo holds each, so no id is reused; equal keys give the
+    same root object, so a walk over the roots memoizes too.
+
+    This is exact.  No minimal square is a prefix of another, so at most
+    one square matches at a position, and a square that matches in a
+    prefix of the text matches in the whole text.  So from the carry's
+    start the parse of carry + piece takes the squares the parse of the
+    join takes, up to where it stops, and the carry is the join's unparsed
+    rest up to the next piece.  A stop with at least 2|s6| letters after it
+    is final: no minimal square is longer, so no later letter makes one
+    match there, and the walk ends.
+    """
+    limit = 2 * _s6_length(params)
+    memo, roots, carry = {}, [], ""
+    for piece in pieces:
+        key = carry, id(piece)
+        if key not in memo:
+            text = carry + piece
+            fact = parse(text, params)
+            memo[key] = piece, fact.root(), text[fact.consumed :]
+        _, root, carry = memo[key]
+        roots.append(root)
+        if len(carry) >= limit:
+            break
+    return roots
+
+
 _LASTINDEX = attrgetter("lastindex")
 
 

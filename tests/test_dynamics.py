@@ -345,6 +345,18 @@ class TestChunkedPrefix:
             for n in (len(word) - 1, len(word), len(word) + 1):
                 assert stream.prefix_blocks(n) == prefix_blocks_loop(stream, n), stream.description
 
+    def test_prefix_equals_prefix_blocks_inside_a_leaf(self, monkeypatch):
+        # prefix joins the leaf words without building the block tuple; n
+        # ends halfway into the fourth leaf's letters
+        for leaf in (1, 2, DEFAULT_LEAF):
+            monkeypatch.setattr(sqword.dynamics, "_LEAF", leaf)
+            streams = [fixed_point_stream(BLOCK), no_square_prefix_word(1), two_periodic_word(2)]
+            for stream in streams:
+                leaves = list(itertools.islice(stream.block_factory(), 4))
+                whole, last = (spelled_length(stream.params, part) for part in (leaves[:3], leaves[3:]))
+                n = whole + last // 2
+                assert stream.prefix(n) == stream.prefix_blocks(n)[0], (stream.description, leaf)
+
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_factories_equal_generators(self, a, monkeypatch):
         # leaves of one and two indices walk every level lazily from the base
@@ -521,7 +533,7 @@ class TestResumedParse:
             fact = parse(word, stream.params)
             assert fact.complete and fact.indices == trace, stream.description
 
-    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
     def test_verify_equals_two_parse_oracle(self, iterations, monkeypatch):
         # the first root is spelled per leaf: leaves of one and two indices
         # walk every level lazily
@@ -784,6 +796,24 @@ class TestVerifiedLanguage:
             letters.clear()
             verify_fixed_point(stream, 10**6)
             assert 0 < sum(letters) < 10**6 // 5, stream.description
+
+    def test_later_roots_parse_a_small_share(self, monkeypatch):
+        # A work count, not a timing: the second root of the biperiodic
+        # stream at 10^6 letters parses each distinct pair of carry and root
+        # piece once: 16 parses, handed 3.9% to 8.1% of the first root's
+        # letters, where one parse of the joined root reads all of them.
+        scan, letters = sqword.squares.scan_minimal_squares, []
+        monkeypatch.setattr(
+            sqword.squares,
+            "scan_minimal_squares",
+            lambda word, params: letters.append(len(word)) or scan(word, params),
+        )
+        for a in (1, 2, 3):
+            stream = two_periodic_word(a)
+            root = len(stream.prefix(10**6)) // 2
+            letters.clear()
+            assert verify_fixed_point(stream, 10**6, 2)
+            assert 0 < sum(letters) < root // 5, a
 
 
 def test_period_report_json():

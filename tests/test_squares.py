@@ -322,6 +322,62 @@ class TestPiecesInLanguage:
         assert 500 < inside < 2500
 
 
+def stop_path(pieces, p):
+    """Where the whole parse of the joined *pieces* stops, as the walk of
+    ``_root_pieces`` meets it: "end" if fewer than 2|s6| letters are left
+    after the stop, else "piece" if the stop lies in the piece after which
+    2|s6| letters are left, and "carry" if it lies before that piece."""
+    word = "".join(pieces)
+    stop, limit = parse(word, p).consumed, 2 * _s6_length(p)
+    if len(word) - stop < limit:
+        return "end"
+    start = 0
+    for piece in pieces:
+        if start + len(piece) - stop >= limit:
+            return "piece" if stop >= start else "carry"
+        start += len(piece)
+
+
+class TestRootPieces:
+    # squares._root_pieces against parse(...).root() of the join
+
+    def test_every_two_piece_split_of_short_words(self):
+        # 11 letters hold a carry of 2|s6| - 1 letters for (1, 0), the one
+        # before a stop that the next letter undoes
+        for n in range(12):
+            for bits in range(1 << n):
+                word = format(bits, f"0{n}b") if n else ""
+                pairs = [(word[:i], word[i:]) for i in range(n + 1)]
+                for p in NFA_PARAMS:
+                    root = parse(word, p).root()
+                    for pair in pairs:
+                        assert "".join(squares._root_pieces(pair, p)) == root, (pair, p)
+
+    def test_cut_products_with_a_repeated_piece(self):
+        # Products of minimal squares with up to two letters flipped, cut at
+        # up to six places, one piece object repeated up to three times: a
+        # repeat meets a different carry, and the parse sticks inside a
+        # piece, inside a carry that spans a cut, or near the end.
+        rng = random.Random(30)
+        paths = {"end": 0, "piece": 0, "carry": 0}
+        for _ in range(3000):
+            p = Params(rng.randrange(1, 5), rng.randrange(4))
+            full = minimal_squares(p)
+            letters = list("".join(rng.choice(full) for _ in range(rng.randrange(1, 12))))
+            for _ in range(rng.randrange(3)):
+                j = rng.randrange(len(letters))
+                letters[j] = "1" if letters[j] == "0" else "0"
+            word = "".join(letters)
+            cuts = sorted(rng.sample(range(len(word) + 1), rng.randrange(min(7, len(word) + 2))))
+            pieces = [word[j:k] for j, k in zip([0, *cuts], [*cuts, len(word)])]
+            r = rng.randrange(len(pieces))
+            pieces[r : r + 1] = [pieces[r]] * rng.randrange(1, 4)
+            got = squares._root_pieces(pieces, p)
+            assert "".join(got) == parse("".join(pieces), p).root(), (pieces, p)
+            paths[stop_path(pieces, p)] += 1
+        assert min(paths.values()) > 100, paths
+
+
 class TestFactorization:
     def test_flagship(self):
         fact = parse("0101001001010010", P10)
