@@ -5,16 +5,18 @@ Every command prints a JSON envelope {"command", "inputs", "result",
 plain lines instead: ``n,count`` rows for counting and a minimal
 human-readable form elsewhere.  ``--format`` may come before or after the
 command; when both are given the later one wins.  Exit codes: 0 success,
-1 domain errors, 2 usage errors.
+1 domain errors, 2 usage errors; 1 also when the reader closes stdout before
+the output is written (as ``| head`` does), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain, repeat
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__
 from .dynamics import (
@@ -44,7 +46,10 @@ from .words import slope
 # within explicit bounds, and `orbits --n 10^6` peaks at about 72 MB of RSS
 # (71 MB with --format text, whose longest line lists 800,000 residues, joined
 # a slice at a time).  Words read or built are capped too.  The `sl` stream's
-# memory follows --length; fixed_point_stream bounds its --c.
+# memory follows --length; fixed_point_stream bounds its --c.  `fixedpoint
+# --length 10^7` peaks at about 17 MB of RSS for `sl` and `nosquare`, its
+# envelope written a leaf at a time (36 MB with --format text, whose one line
+# is the joined prefix).
 _MAX_LENGTH = 10**7
 _MAX_BRUTE_N = 60
 _MAX_COUNT_N = 10**6
@@ -238,7 +243,7 @@ def _cmd_orbits(args) -> tuple[dict, Iterable[str]]:
     return result, map(_spaced, orbits)
 
 
-def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
+def _cmd_fixedpoint(args) -> tuple[dict, Iterable[str]]:
     if args.kind != "sl" and (args.word is not None or args.c != 1):
         raise argparse.ArgumentTypeError("fixedpoint takes --word and --c only with --kind sl")
     if args.length > _MAX_LENGTH:
@@ -256,7 +261,15 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
             raise DomainError(f"--a is capped at {(_MAX_LENGTH - 6) // 4}, got {args.a}")
         maker = no_square_prefix_word if args.kind == "nosquare" else two_periodic_word
         stream = maker(args.a)
-    prefix, trace = stream.prefix_blocks(args.length)
+    # the prefix and its block trace as prefix_blocks gives them, but left in
+    # leaves: a leaf repeats by reference, and its numbers are encoded once
+    leaves, words = stream._leaves(args.length)
+    distinct = {id(leaf): leaf for leaf in leaves}  # leaves holds each, so no id is reused
+    encoded = {key: ", ".join(map(str, leaf)) for key, leaf in distinct.items()}
+    blocks = ["["]
+    for leaf in leaves:
+        blocks += (encoded[id(leaf)], ", ")
+    blocks[-1] = "]"
     result = {
         "kind": args.kind,
         "a": stream.params.a,
@@ -264,11 +277,13 @@ def _cmd_fixedpoint(args) -> tuple[dict, list[str]]:
         "c": args.c if args.kind == "sl" else None,
         "block_word": args.word,
         "description": stream.description,
-        "length": len(prefix),
-        "prefix": prefix,
-        "blocks": trace,
+        "length": sum(map(len, words)),
+        # every minimal square is a binary word, so the prefix needs no escaping
+        "prefix": _Encoded(['"', *words, '"']),
+        "blocks": _Encoded(blocks),
     }
-    return result, [prefix]
+    # the prefix is joined only if printed
+    return result, map("".join, [words])
 
 
 def _cmd_period(args) -> tuple[dict, list[str]]:
@@ -280,6 +295,27 @@ def _cmd_period(args) -> tuple[dict, list[str]]:
     result["word"] = word
     lines = [f"preperiod {report.preperiod} period {report.period} ({report.period_word})"]
     return result, lines
+
+
+class _Encoded(tuple):
+    """JSON text encoded ahead of time, in pieces that _write_json writes as they are."""
+
+
+def _write_json(value, write: Callable[[str], object]) -> None:
+    # The text of json.dumps(value), written as it is made: a dict member by
+    # member in insertion order with json's default separators, an _Encoded
+    # piece by piece, any other value through json.dumps.  Keys are strs.
+    if isinstance(value, _Encoded):
+        for piece in value:
+            write(piece)
+    elif isinstance(value, dict):
+        write("{")
+        for i, (key, item) in enumerate(value.items()):
+            write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(item, write)
+        write("}")
+    else:
+        write(json.dumps(value))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,20 +410,28 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        inputs = {
-            k: v for k, v in vars(args).items() if k not in ("command", "format") and v is not None
-        }
-        envelope = {
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-            "version": __version__,
-        }
-        print(json.dumps(envelope))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            inputs = {
+                k: v for k, v in vars(args).items() if k not in ("command", "format") and v is not None
+            }
+            envelope = {
+                "command": args.command,
+                "inputs": inputs,
+                "result": result,
+                "version": __version__,
+            }
+            _write_json(envelope, sys.stdout.write)
+            sys.stdout.write("\n")
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  As Python's signal docs advise, stdout is
+        # pointed at os.devnull, so that the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -1,15 +1,24 @@
 import argparse
+import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import sqword.cli
 from sqword import __version__
-from sqword.cli import _spaced, _word_report, build_parser, main
-from sqword.dynamics import SquareStream, fixed_point_stream, no_square_prefix_word
+from sqword.cli import _Encoded, _spaced, _word_report, _write_json, build_parser, main
+from sqword.dynamics import (
+    SquareStream,
+    fixed_point_stream,
+    no_square_prefix_word,
+    two_periodic_word,
+)
 from sqword.solutions import doubling_orbits
 from sqword.standard import standard_from_directive
 from test_enumeration import generate_and_test
@@ -527,7 +536,7 @@ def test_fixedpoint_conflicting_param_is_rejected(capsys, monkeypatch, flag, nat
     code, out, err = run_cli(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
                              "--a", "1", "--length", "17")
     assert (code, json.loads(out)["result"]["b"]) == (0, 0)
-    monkeypatch.setattr(SquareStream, "prefix_blocks", refuse)
+    monkeypatch.setattr(SquareStream, "_leaves", refuse)
     argv = ["fixedpoint", "--kind", "sl", "--word", "01010010", flag, "5", "--length", "17"]
     if flag == "--b":
         # b is read off the block alone, so there is no flag to conflict
@@ -549,13 +558,13 @@ def test_caps_admit_their_limits(capsys, monkeypatch, tmp_path):
     assert seen == [(60,), (None, None), (5,), (1000, 1000)]
     # --c up to the library's bound sys.maxsize // 2 at any length, the
     # stream's memory following the length; the streams run at c = 1 with a
-    # stub prefix
+    # stub prefix, read by the CLI as leaves
     chains = []
     monkeypatch.setattr(
         "sqword.cli.fixed_point_stream", lambda w, c: chains.append(c) or fixed_point_stream(w, 1)
     )
     monkeypatch.setattr(
-        SquareStream, "prefix_blocks", lambda self, n: chains.append(n) or ("00", (1,))
+        SquareStream, "_leaves", lambda self, n: chains.append(n) or ([(1,)], ["00"])
     )
     limits = [(10**9, 17), (10**9 + 1, 17), (sys.maxsize // 2, 17), (833333, 17), (1, 10**7),
               (2, 6250001), (2, 10**7)]
@@ -603,7 +612,7 @@ def test_caps_admit_their_limits(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("c", [5 * 10**18, 10**19])
 def test_fixedpoint_c_past_the_library_bound(capsys, monkeypatch, c):
-    monkeypatch.setattr(SquareStream, "prefix_blocks", refuse)
+    monkeypatch.setattr(SquareStream, "_leaves", refuse)
     code, out, err = run_cli(capsys, "fixedpoint", "--kind", "sl", "--word", "01010010",
                              "--c", str(c), "--length", "17")
     assert (code, out) == (1, "")
@@ -623,3 +632,159 @@ def test_fixedpoint_at_the_c_cap_builds_only_what_it_prints(capsys):
     assert env["result"]["prefix"] == ("01010010" * 3)[:20]
     assert env["result"]["blocks"] == [2, 1, 6, 2]
     assert peak < 20 * 2**20
+
+
+# (argv, stream) for each kind at a = 1..3, and for `sl` at c = 1..3
+FIXEDPOINT_STREAMS = [
+    *(
+        (["--kind", "sl", "--word", block, "--c", str(c)], lambda block=block, c=c: fixed_point_stream(block, c))
+        for block in ("01010010", "10001000100", "10000100001000")
+        for c in (1, 2, 3)
+    ),
+    *((["--kind", "nosquare", "--a", str(a)], lambda a=a: no_square_prefix_word(a)) for a in (1, 2, 3)),
+    *((["--kind", "biperiodic", "--a", str(a)], lambda a=a: two_periodic_word(a)) for a in (1, 2, 3)),
+]
+
+
+def prefix_blocks_stdout(argv: list[str], stream: SquareStream) -> str:
+    """The fixedpoint envelope as json.dumps writes it from prefix_blocks."""
+    args = build_parser().parse_args(argv)
+    prefix, trace = stream.prefix_blocks(args.length)
+    result = {
+        "kind": args.kind,
+        "a": stream.params.a,
+        "b": stream.params.b,
+        "c": args.c if args.kind == "sl" else None,
+        "block_word": args.word,
+        "description": stream.description,
+        "length": len(prefix),
+        "prefix": prefix,
+        "blocks": trace,
+    }
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "format") and v is not None}
+    envelope = {"command": "fixedpoint", "inputs": inputs, "result": result, "version": __version__}
+    return json.dumps(envelope) + "\n"
+
+
+def repeated_leaf_cut(stream: SquareStream) -> int:
+    """One letter into the first leaf of two or more blocks that repeats an
+    earlier leaf, so that the prefix ends inside it."""
+    leaves, words = stream._leaves(10**5)
+    seen, start = set(), 0
+    for leaf, word in zip(leaves, words):
+        if id(leaf) in seen and len(leaf) > 1:
+            return start + 1
+        seen.add(id(leaf))
+        start += len(word)
+    raise AssertionError(f"no repeated leaf in {stream.description!r}")
+
+
+@pytest.mark.parametrize("kind, make", FIXEDPOINT_STREAMS, ids=[" ".join(k) for k, _ in FIXEDPOINT_STREAMS])
+def test_fixedpoint_writes_what_json_dumps_writes(capsys, kind, make):
+    # the leaf-by-leaf envelope against json.dumps of prefix_blocks' answer
+    for length in (1, 2, 17, repeated_leaf_cut(make()), 10**5):
+        argv = ["fixedpoint", *kind, "--length", str(length)]
+        assert run_cli(capsys, *argv) == (0, prefix_blocks_stdout(argv, make()), ""), length
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def written(value) -> str:
+    out = io.StringIO()
+    _write_json(value, out.write)
+    return out.getvalue()
+
+
+@given(json_values)
+def test_writer_equals_json_dumps(value):
+    assert written(value) == json.dumps(value)
+
+
+def test_writer_escapes_as_json_dumps_does():
+    value = {
+        'a"b\\\n\x00': {"\u00fc\u2028": [None, True, False, "\u00e9\ud83d\ude00\t"], "": {}},
+        "\u00e9": {"x": [1.5, -0, {"y": None}]},
+        "z": 'q"\\',
+    }
+    assert written(value) == json.dumps(value)
+    # an _Encoded goes out as it is, in its place among the members
+    words = ["0100", "10"]
+    assert written({"k": 1, "prefix": _Encoded(['"', *words, '"']), "n": None}) == json.dumps(
+        {"k": 1, "prefix": "010010", "n": None}
+    )
+
+
+SQWORD = [sys.executable, "-m", "sqword.cli"]
+
+
+def package_env() -> dict[str, str]:
+    """The environment with the package under test first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(sqword.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixedpoint", "--kind", "nosquare", "--a", "1", "--length", str(10**7)],
+        ["--format", "text", "orbits", "--n", str(10**5)],
+    ],
+)
+def test_closed_pipe_exits_1_without_traceback(argv):
+    # both write well past a pipe's buffer, so the close comes first
+    proc = subprocess.Popen([*SQWORD, *argv], env=package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert b"Traceback" not in err and err == b""
+
+
+def test_stdout_closed_before_the_first_write_exits_1_without_traceback():
+    # A short envelope fits stdout's buffer, so the broken pipe shows only at
+    # the flush; stdout is block-buffered here, as it is on a pipe by default.
+    read, write = os.pipe()
+    os.close(read)
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        done = subprocess.run([*SQWORD, "count", "--n", "5"], env=env, stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+# Run as `python -c MAX_RSS path cmd...`: runs cmd with stdout to path and
+# prints its exit code and max RSS in KiB.  Linux keeps a process's max RSS
+# across exec, so the command is started from this small process, not from
+# the test process, whose size a child forked from it would start at.
+MAX_RSS = """
+import os, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    pid = subprocess.Popen(sys.argv[2:], stdout=out).pid
+    _, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads max RSS in KiB off os.wait4")
+@pytest.mark.parametrize("kind", [["--kind", "sl", "--word", "01010010"], ["--kind", "nosquare", "--a", "1"]])
+def test_fixedpoint_at_the_length_cap_stays_under_40_mb(tmp_path, kind):
+    # The whole process's max RSS at --length 10^7: 16.7 MB for sl and
+    # 16.9 MB for nosquare (2-core box, Python 3.11.7), against 77.6 and
+    # 68.7 MB when the block trace was one tuple passed to json.dumps.
+    path = tmp_path / "out.json"
+    argv = [sys.executable, "-c", MAX_RSS, str(path), *SQWORD, "fixedpoint", *kind, "--length", str(10**7)]
+    done = subprocess.run(argv, env=package_env(), capture_output=True, text=True, timeout=120, check=True)
+    code, kib = map(int, done.stdout.split())
+    assert code == 0 and path.stat().st_size > 10**7
+    assert kib < 40 * 1024

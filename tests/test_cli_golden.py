@@ -43,6 +43,9 @@ ROWS = [
     ('fixedpoint --kind nosquare --a 3 --length 10000 --format text', 0, '6ed39bc9a68ea3a19e7f7196ec3771b8da56dd39', ''),
     ('fixedpoint --kind biperiodic --a 1 --length 10000', 0, 'cfda0be31eaedb79d12bc40287b8bfd4947af017', ''),
     ('fixedpoint --kind sl --word 01010010 --a 1 --length 17', 0, '1375f7a9559ce53966c60326c983298c15d696c4', ''),
+    # a 13-letter block at --c 3, and one letter past the leaf ending at 1240
+    ('fixedpoint --kind sl --word 0101001010010 --c 3 --length 10000', 0, '05eca1373f4ab35e96ea86cad5670a4a70de58a7', ''),
+    ('fixedpoint --kind biperiodic --a 2 --length 1241', 0, '368e555b911368d54c6d894dfa91586336c7c785', ''),
     # the three kinds at 10^6 letters, past the flat levels of their streams
     ('fixedpoint --kind nosquare --a 1 --length 1000000', 0, '72c42f2e4a103a8c896778bc17cf558cea81375c', ''),
     ('fixedpoint --kind biperiodic --a 3 --length 1000000', 0, 'd884df411d2dbd31fc7eeec3f5e9850e6252f7b4', ''),
